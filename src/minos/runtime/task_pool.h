@@ -128,16 +128,26 @@ class TaskPool {
     std::atomic<size_t> remaining{0};       ///< Tasks not yet finished.
   };
 
-  /// Per-worker deque of task indexes; owner pops the front, thieves
+  /// One queued task: its index within the epoch that pushed it, tagged
+  /// with that epoch's generation.
+  struct Slot {
+    uint64_t generation = 0;
+    size_t index = 0;
+  };
+
+  /// Per-worker deque of task slots; owner pops the front, thieves
   /// steal from the back.
   struct WorkerQueue {
     std::mutex mu;
-    std::deque<size_t> tasks;
+    std::deque<Slot> tasks;
   };
 
   void WorkerLoop(size_t self);
-  /// Claims one task index: own queue first, then round-robin victims.
-  bool ClaimTask(size_t self, size_t* index);
+  /// Claims one task index of epoch `generation`: own queue first, then
+  /// round-robin victims. A worker still draining a finished epoch
+  /// finds only a newer epoch's slots, never claims them, and goes back
+  /// to wait for that epoch with the right task vector.
+  bool ClaimTask(size_t self, uint64_t generation, size_t* index);
   /// Serial fallback with identical semantics: nested RunEpoch calls.
   std::vector<Micros> RunInline(std::vector<Task>& tasks, TimeModel model);
   static Micros FoldCosts(const std::vector<Micros>& costs, TimeModel model);

@@ -2,11 +2,27 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
 
 namespace minos::server {
+
+namespace {
+
+// Keys order by (kind, object_id, index, owner), so the entries of one
+// kind for one object are the contiguous run between these two keys.
+PrefetchKey FirstKey(PrefetchKind kind, uint64_t object_id) {
+  return PrefetchKey{kind, object_id, std::numeric_limits<int>::min(), 0};
+}
+
+PrefetchKey LastKey(PrefetchKind kind, uint64_t object_id) {
+  return PrefetchKey{kind, object_id, std::numeric_limits<int>::max(),
+                     std::numeric_limits<uint64_t>::max()};
+}
+
+}  // namespace
 
 PrefetchQueue::PrefetchQueue(SimClock* clock, Link* link,
                              PrefetchOptions options)
@@ -35,9 +51,7 @@ PrefetchQueue::PrefetchQueue(SimClock* clock, std::vector<Link*> links,
 }
 
 PrefetchQueue::~PrefetchQueue() {
-  for (const auto& [key, entry] : entries_) {
-    if (entry.ready) wasted_->Increment();
-  }
+  wasted_->Increment(static_cast<int64_t>(ready_count_));
 }
 
 void PrefetchQueue::UpdateDepth() {
@@ -60,9 +74,65 @@ void PrefetchQueue::Enqueue(const PrefetchKey& key, int distance,
   entry.affinity_object = affinity_object;
   entry.bytes = bytes;
   entry.run = std::move(work);
-  entries_.emplace(key, std::move(entry));
+  const EntryRef it = entries_.emplace(key, std::move(entry)).first;
+  pick_.emplace(std::make_pair(it->second.distance, it->second.seq), it);
+  OwnerBook& book = owners_[key.owner];
+  book.outstanding_bytes += bytes;
+  book.live.emplace(it->second.seq, it);
   enqueued_->Increment();
   UpdateDepth();
+}
+
+void PrefetchQueue::Unrank(uint64_t owner, const OwnerBook& book) {
+  if (book.ready.empty()) return;
+  victims_.erase(
+      VictimRank{book.ready_bytes, book.ready.begin()->first, owner});
+}
+
+void PrefetchQueue::Rank(uint64_t owner, const OwnerBook& book) {
+  if (book.ready.empty()) return;
+  victims_.insert(
+      VictimRank{book.ready_bytes, book.ready.begin()->first, owner});
+}
+
+void PrefetchQueue::MarkReady(EntryRef it, Micros ready_at) {
+  Entry& entry = it->second;
+  pick_.erase(std::make_pair(entry.distance, entry.seq));
+  entry.ready = true;
+  entry.ready_at = ready_at;
+  entry.run = nullptr;
+  ++ready_count_;
+  const uint64_t owner = it->first.owner;
+  OwnerBook& book = owners_.at(owner);
+  Unrank(owner, book);
+  book.ready_bytes += entry.bytes;
+  book.ready.emplace(entry.seq, it);
+  Rank(owner, book);
+}
+
+void PrefetchQueue::Erase(EntryRef it) {
+  const Entry& entry = it->second;
+  const uint64_t owner = it->first.owner;
+  auto book_it = owners_.find(owner);
+  OwnerBook& book = book_it->second;
+  if (entry.ready) {
+    --ready_count_;
+    Unrank(owner, book);
+    book.ready_bytes -= entry.bytes;
+    book.ready.erase(entry.seq);
+    Rank(owner, book);
+  } else {
+    pick_.erase(std::make_pair(entry.distance, entry.seq));
+  }
+  book.outstanding_bytes -= entry.bytes;
+  book.live.erase(entry.seq);
+  if (book.live.empty()) owners_.erase(book_it);
+  entries_.erase(it);
+}
+
+void PrefetchQueue::Drop(EntryRef it) {
+  (it->second.ready ? wasted_ : cancelled_)->Increment();
+  Erase(it);
 }
 
 void PrefetchQueue::WantPage(const PrefetchKey& key, int distance,
@@ -80,7 +150,7 @@ void PrefetchQueue::WantObject(uint64_t object_id, int distance,
            [this, key, shared]() -> Status {
              StatusOr<object::MultimediaObject> got = (*shared)();
              if (!got.ok()) return got.status();
-             entries_[key].object = *std::move(got);
+             entries_.at(key).object = *std::move(got);
              return Status::OK();
            });
 }
@@ -94,13 +164,13 @@ void PrefetchQueue::WantMiniature(int position, int distance, CardWork work,
           [this, key, shared]() -> Status {
             StatusOr<MiniatureCard> got = (*shared)();
             if (!got.ok()) return got.status();
-            entries_[key].card = *std::move(got);
+            entries_.at(key).card = *std::move(got);
             return Status::OK();
           },
           affinity_object);
 }
 
-bool PrefetchQueue::Issue(Entry& entry) {
+void PrefetchQueue::Issue(EntryRef it) {
   const Micros start = clock_->Now();
   Status verdict = Status::OK();
   {
@@ -111,7 +181,7 @@ bool PrefetchQueue::Issue(Entry& entry) {
     for (Link* link : links_) {
       background.push_back(std::make_unique<Link::BackgroundScope>(link));
     }
-    verdict = entry.run();
+    verdict = it->second.run();
   }
   const Micros cost = clock_->Now() - start;
   // The foreground never saw this work: rewind and book the cost on the
@@ -119,61 +189,43 @@ bool PrefetchQueue::Issue(Entry& entry) {
   clock_->RewindTo(start);
   issued_->Increment();
   issue_cost_us_->Record(static_cast<double>(cost));
+  // Failed speculative work still occupied the channel while it tried.
+  bg_free_at_ = std::max(bg_free_at_, start) + cost;
   if (!verdict.ok()) {
     errors_->Increment();
-    // Failed speculative work still occupied the channel while it tried.
-    bg_free_at_ = std::max(bg_free_at_, start) + cost;
-    return false;
+    Erase(it);
+    return;
   }
-  entry.ready = true;
-  entry.ready_at = std::max(bg_free_at_, start) + cost;
-  bg_free_at_ = entry.ready_at;
-  entry.run = nullptr;
-  return true;
+  MarkReady(it, bg_free_at_);
 }
 
 void PrefetchQueue::Pump() {
   if (pumping_) return;  // A pumped transfer's retry is pumping us.
   pumping_ = true;
-  // Pick phase: nearest cursor distance first, FIFO among equals, at
-  // most max_inflight_per_pump entries. Issue outcomes never affect
-  // candidacy (issued entries turn ready, failed ones are erased —
-  // both leave the pick pool), so picking everything up front is the
-  // same sequence the issue-as-you-go loop produced.
-  std::vector<PrefetchKey> picked;
-  for (int slot = 0; slot < options_.max_inflight_per_pump; ++slot) {
-    const PrefetchKey* pick = nullptr;
-    for (const auto& [key, entry] : entries_) {
-      if (entry.ready) continue;
-      if (std::find(picked.begin(), picked.end(), key) != picked.end()) {
-        continue;
-      }
-      if (pick == nullptr) {
-        pick = &key;
-        continue;
-      }
-      const Entry& best = entries_.at(*pick);
-      if (entry.distance < best.distance ||
-          (entry.distance == best.distance && entry.seq < best.seq)) {
-        pick = &key;
-      }
-    }
-    if (pick == nullptr) break;
-    picked.push_back(*pick);
+  // Pick phase: the first max_inflight_per_pump queued entries in pick
+  // order (nearest cursor distance first, FIFO among equals). Issue
+  // outcomes never affect candidacy (issued entries turn ready, failed
+  // ones are erased — both leave the pick pool), so picking everything
+  // up front is the same sequence the issue-as-you-go loop produced.
+  const size_t limit =
+      static_cast<size_t>(std::max(options_.max_inflight_per_pump, 0));
+  std::vector<EntryRef> picked;
+  picked.reserve(std::min(limit, pick_.size()));
+  for (const auto& [rank, it] : pick_) {
+    if (picked.size() == limit) break;
+    picked.push_back(it);
   }
   if (pool_ != nullptr && picked.size() > 1) {
     IssuePooled(picked);
   } else {
-    for (const PrefetchKey& key : picked) {
-      if (!Issue(entries_.at(key))) entries_.erase(key);
-    }
+    for (EntryRef it : picked) Issue(it);
   }
   EvictOverCapacity();
   UpdateDepth();
   pumping_ = false;
 }
 
-void PrefetchQueue::IssuePooled(const std::vector<PrefetchKey>& picked) {
+void PrefetchQueue::IssuePooled(const std::vector<EntryRef>& picked) {
   // Group the picks by staging affinity: entries bound for different
   // shards ride different arms and may stage concurrently; entries of
   // one group — and every pick when no affinity oracle is installed —
@@ -183,7 +235,7 @@ void PrefetchQueue::IssuePooled(const std::vector<PrefetchKey>& picked) {
   std::vector<std::vector<size_t>> groups;
   for (size_t i = 0; i < picked.size(); ++i) {
     const uint64_t affinity =
-        affinity_ ? affinity_(entries_.at(picked[i]).affinity_object) : 0;
+        affinity_ ? affinity_(picked[i]->second.affinity_object) : 0;
     size_t g = 0;
     for (; g < group_ids.size(); ++g) {
       if (group_ids[g] == affinity) break;
@@ -214,9 +266,8 @@ void PrefetchQueue::IssuePooled(const std::vector<PrefetchKey>& picked) {
     for (const std::vector<size_t>& group : groups) {
       tasks.push_back([this, &picked, &outcomes, &group] {
         for (size_t i : group) {
-          Entry& entry = entries_.at(picked[i]);
           const Micros start = clock_->Now();
-          outcomes[i].verdict = entry.run();
+          outcomes[i].verdict = picked[i]->second.run();
           outcomes[i].cost = clock_->Now() - start;
           // The frame never advances: staging time is booked on the
           // background channel below, exactly like the serial pump.
@@ -234,64 +285,28 @@ void PrefetchQueue::IssuePooled(const std::vector<PrefetchKey>& picked) {
   for (size_t i = 0; i < picked.size(); ++i) {
     issued_->Increment();
     issue_cost_us_->Record(static_cast<double>(outcomes[i].cost));
+    bg_free_at_ = std::max(bg_free_at_, start) + outcomes[i].cost;
     if (!outcomes[i].verdict.ok()) {
       errors_->Increment();
-      bg_free_at_ = std::max(bg_free_at_, start) + outcomes[i].cost;
-      entries_.erase(picked[i]);
+      Erase(picked[i]);
       continue;
     }
-    Entry& entry = entries_.at(picked[i]);
-    entry.ready = true;
-    entry.ready_at = std::max(bg_free_at_, start) + outcomes[i].cost;
-    bg_free_at_ = entry.ready_at;
-    entry.run = nullptr;
+    MarkReady(picked[i], bg_free_at_);
   }
 }
 
 void PrefetchQueue::EvictOverCapacity() {
-  size_t ready = 0;
-  for (const auto& [key, entry] : entries_) {
-    if (entry.ready) ++ready;
-  }
-  while (ready > options_.ready_capacity) {
-    // Pick the victim owner first — whoever holds the most ready bytes
-    // pays for the overflow, so a budget-capped session's staged pages
-    // survive a greedy neighbor's flood. Ties (including the all-bytes-
-    // untracked legacy case, where every owner holds 0) fall back to
-    // the owner of the globally stalest ready entry, which with a
-    // single owner degenerates to the original evict-stalest rule.
-    struct OwnerStat {
-      uint64_t bytes = 0;
-      uint64_t stalest_seq = ~0ull;
-    };
-    std::map<uint64_t, OwnerStat> owners;
-    for (const auto& [key, entry] : entries_) {
-      if (!entry.ready) continue;
-      OwnerStat& stat = owners[key.owner];
-      stat.bytes += entry.bytes;
-      stat.stalest_seq = std::min(stat.stalest_seq, entry.seq);
-    }
-    uint64_t victim_owner = 0;
-    const OwnerStat* best = nullptr;
-    for (const auto& [owner, stat] : owners) {
-      if (best == nullptr || stat.bytes > best->bytes ||
-          (stat.bytes == best->bytes &&
-           stat.stalest_seq < best->stalest_seq)) {
-        victim_owner = owner;
-        best = &stat;
-      }
-    }
-    // Within the victim owner, evict the stalest ready entry.
-    const PrefetchKey* victim = nullptr;
-    for (const auto& [key, entry] : entries_) {
-      if (!entry.ready || key.owner != victim_owner) continue;
-      if (victim == nullptr || entry.seq < entries_.at(*victim).seq) {
-        victim = &key;
-      }
-    }
-    entries_.erase(*victim);
+  // The victim owner is whoever holds the most ready bytes — it pays for
+  // the overflow, so a budget-capped session's staged pages survive a
+  // greedy neighbor's flood. Ties (including the all-bytes-untracked
+  // legacy case, where every owner holds 0) fall to the owner of the
+  // globally stalest ready entry, which with a single owner degenerates
+  // to the original evict-stalest rule. Within that owner, its stalest
+  // ready entry goes.
+  while (ready_count_ > options_.ready_capacity) {
+    const OwnerBook& book = owners_.at(victims_.begin()->owner);
+    Erase(book.ready.begin()->second);
     wasted_->Increment();
-    --ready;
   }
 }
 
@@ -303,7 +318,7 @@ bool PrefetchQueue::TakePage(const PrefetchKey& key) {
   }
   if (!it->second.ready) {
     // Queued but never issued: the foreground fetch supersedes it.
-    entries_.erase(it);
+    Erase(it);
     misses_->Increment();
     UpdateDepth();
     return false;
@@ -316,7 +331,7 @@ bool PrefetchQueue::TakePage(const PrefetchKey& key) {
         residual > options_.max_page_wait_us) {
       // The channel is backed up behind other speculation; a foreground
       // transfer is cheaper than waiting. The work was done for nothing.
-      entries_.erase(it);
+      Erase(it);
       wasted_->Increment();
       misses_->Increment();
       UpdateDepth();
@@ -329,7 +344,7 @@ bool PrefetchQueue::TakePage(const PrefetchKey& key) {
     wait_us_->Record(0.0);
     hits_->Increment();
   }
-  entries_.erase(it);
+  Erase(it);
   UpdateDepth();
   return true;
 }
@@ -354,7 +369,7 @@ std::optional<MiniatureCard> PrefetchQueue::TakeMiniature(
       it->second.card.has_value() && it->second.card->id != expected_id) {
     // Staged for another query's strip: the same position now names a
     // different object, and its card must never be delivered here.
-    entries_.erase(it);
+    Erase(it);
     wasted_->Increment();
     misses_->Increment();
     UpdateDepth();
@@ -373,54 +388,65 @@ int PrefetchQueue::KeepRadius(PrefetchKind kind) const {
   return std::max(options_.pages_ahead, options_.pages_behind);
 }
 
-void PrefetchQueue::CancelIf(
+void PrefetchQueue::DropRange(
+    EntryRef first, EntryRef last,
     const std::function<bool(const PrefetchKey&)>& stale) {
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (!stale(it->first)) {
-      ++it;
-      continue;
-    }
-    if (it->second.ready) {
-      wasted_->Increment();
-    } else {
-      cancelled_->Increment();
-    }
-    it = entries_.erase(it);
+  while (first != last) {
+    const EntryRef it = first++;
+    if (!stale || stale(it->first)) Drop(it);
   }
   UpdateDepth();
+}
+
+void PrefetchQueue::DropObject(
+    PrefetchKind kind, uint64_t object_id,
+    const std::function<bool(const PrefetchKey&)>& stale) {
+  DropRange(entries_.lower_bound(FirstKey(kind, object_id)),
+            entries_.upper_bound(LastKey(kind, object_id)), stale);
 }
 
 void PrefetchQueue::OnJump(PrefetchKind kind, uint64_t object_id,
                            int new_cursor) {
   const int radius = KeepRadius(kind);
-  CancelIf([&](const PrefetchKey& key) {
-    return key.kind == kind && key.object_id == object_id &&
-           std::abs(key.index - new_cursor) > radius;
+  DropObject(kind, object_id, [&](const PrefetchKey& key) {
+    return std::abs(key.index - new_cursor) > radius;
   });
 }
 
 void PrefetchQueue::Cancel(PrefetchKind kind) {
-  CancelIf([&](const PrefetchKey& key) { return key.kind == kind; });
+  DropRange(entries_.lower_bound(FirstKey(kind, 0)),
+            entries_.upper_bound(
+                LastKey(kind, std::numeric_limits<uint64_t>::max())),
+            nullptr);
 }
 
 void PrefetchQueue::CancelObject(uint64_t object_id) {
-  CancelIf([&](const PrefetchKey& key) {
-    return key.kind != PrefetchKind::kMiniature &&
-           key.object_id == object_id;
-  });
+  for (PrefetchKind kind : {PrefetchKind::kObject, PrefetchKind::kVisualPage,
+                            PrefetchKind::kAudioPage}) {
+    DropObject(kind, object_id, nullptr);
+  }
 }
 
 void PrefetchQueue::CancelAll() {
-  CancelIf([](const PrefetchKey&) { return true; });
+  DropRange(entries_.begin(), entries_.end(), nullptr);
 }
 
 void PrefetchQueue::CancelOwner(uint64_t owner) {
-  CancelIf([&](const PrefetchKey& key) { return key.owner == owner; });
+  CancelOwnerWhere(owner, nullptr);
 }
 
-void PrefetchQueue::CancelWhere(
-    const std::function<bool(const PrefetchKey&)>& stale) {
-  CancelIf(stale);
+void PrefetchQueue::CancelOwnerWhere(
+    uint64_t owner, const std::function<bool(const PrefetchKey&)>& stale) {
+  auto book = owners_.find(owner);
+  if (book != owners_.end()) {
+    // Collect first: dropping the owner's last entry retires its book.
+    std::vector<EntryRef> doomed;
+    for (const auto& [seq, it] : book->second.live) {
+      if (!stale || stale(it->first)) doomed.push_back(it);
+    }
+    for (EntryRef it : doomed) Drop(it);
+  }
+  UpdateDepth();
 }
 
 BackoffSleeper PrefetchQueue::MakeBackoffSleeper() {
@@ -433,28 +459,9 @@ BackoffSleeper PrefetchQueue::MakeBackoffSleeper() {
   };
 }
 
-size_t PrefetchQueue::queued_count() const {
-  size_t n = 0;
-  for (const auto& [key, entry] : entries_) {
-    if (!entry.ready) ++n;
-  }
-  return n;
-}
-
-size_t PrefetchQueue::ready_count() const {
-  size_t n = 0;
-  for (const auto& [key, entry] : entries_) {
-    if (entry.ready) ++n;
-  }
-  return n;
-}
-
 uint64_t PrefetchQueue::OutstandingBytes(uint64_t owner) const {
-  uint64_t bytes = 0;
-  for (const auto& [key, entry] : entries_) {
-    if (key.owner == owner) bytes += entry.bytes;
-  }
-  return bytes;
+  auto book = owners_.find(owner);
+  return book == owners_.end() ? 0 : book->second.outstanding_bytes;
 }
 
 }  // namespace minos::server

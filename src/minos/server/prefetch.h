@@ -5,7 +5,10 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "minos/obs/metrics.h"
@@ -96,6 +99,19 @@ struct PrefetchOptions {
 /// still fast-fails prefetches (no point prefetching over a dead link).
 /// Failed entries are dropped — the foreground retry machinery, not the
 /// prefetcher, owns recovery.
+///
+/// ## Cost
+///
+/// Beside the entry map (key order) the queue keeps a pick index of
+/// queued entries by (distance, seq), one book per owner (outstanding
+/// and ready bytes, its entries and its ready entries by seq) and a
+/// victim index of the owners holding ready entries. With n live
+/// entries: enqueue, Take* and issuing one entry cost O(log n); Pump
+/// O(picks · log n) plus one O(log n) per eviction; OutstandingBytes,
+/// queued_count and ready_count O(1); CancelOwner and CancelOwnerWhere
+/// O(log n) per entry of that owner; OnJump and CancelObject O(log n)
+/// per entry of that object; Cancel O(log n) per entry of that kind.
+/// Only CancelAll and the destructor visit everything.
 ///
 /// Statistics live under "prefetch.*": enqueued, issued, hits,
 /// partial_hits, misses, wasted, cancelled, errors counters; wait_us and
@@ -193,11 +209,12 @@ class PrefetchQueue {
   /// speculative footprint this way.
   void CancelOwner(uint64_t owner);
 
-  /// Drops every entry matching `stale` (queued → cancelled, ready →
-  /// wasted) — the generic steer hook for callers whose staleness rule
+  /// Drops every entry of `owner` matching `stale` (queued → cancelled,
+  /// ready → wasted) — the steer hook for callers whose staleness rule
   /// is not one of the canned cancels (e.g. a session jump cancelling
-  /// only its own out-of-radius pages).
-  void CancelWhere(const std::function<bool(const PrefetchKey&)>& stale);
+  /// its own out-of-radius pages). Visits only that owner's entries.
+  void CancelOwnerWhere(
+      uint64_t owner, const std::function<bool(const PrefetchKey&)>& stale);
 
   /// Issues up to max_inflight_per_pump queued entries, nearest cursor
   /// distance first. Reentrant calls (a pumped transfer's retry sleeper
@@ -225,8 +242,8 @@ class PrefetchQueue {
 
   /// Introspection --------------------------------------------------------
 
-  size_t queued_count() const;
-  size_t ready_count() const;
+  size_t queued_count() const { return entries_.size() - ready_count_; }
+  size_t ready_count() const { return ready_count_; }
   /// Sum of `bytes` over every live (queued or ready) entry whose
   /// key.owner matches — the budget-enforcement view: a manager refuses
   /// new speculation for an owner once this crosses its budget.
@@ -246,26 +263,71 @@ class PrefetchQueue {
     std::optional<object::MultimediaObject> object;
     std::optional<MiniatureCard> card;
   };
+  using EntryMap = std::map<PrefetchKey, Entry>;
+  /// Map iterators stay valid until their own entry is erased, so every
+  /// index below points straight at its entry.
+  using EntryRef = EntryMap::iterator;
+
+  /// One owner's share of the queue: what its budget and the eviction
+  /// policy read, kept current on every insert, issue and erase.
+  struct OwnerBook {
+    uint64_t outstanding_bytes = 0;  ///< Queued plus ready.
+    uint64_t ready_bytes = 0;
+    std::map<uint64_t, EntryRef> ready;  ///< Ready entries by seq.
+    std::map<uint64_t, EntryRef> live;   ///< Every entry, by seq.
+  };
+
+  /// An owner's place in the eviction order: most ready bytes first,
+  /// then the stalest ready entry. Seqs are unique, so no two owners
+  /// tie.
+  struct VictimRank {
+    uint64_t ready_bytes = 0;
+    uint64_t stalest_seq = 0;
+    uint64_t owner = 0;
+
+    bool operator<(const VictimRank& other) const {
+      if (ready_bytes != other.ready_bytes) {
+        return ready_bytes > other.ready_bytes;
+      }
+      return stalest_seq < other.stalest_seq;
+    }
+  };
 
   /// Radius inside which entries of `kind` survive a jump.
   int KeepRadius(PrefetchKind kind) const;
-
-  /// Drops every entry whose key matches `stale` (queued → cancelled,
-  /// ready → wasted).
-  void CancelIf(const std::function<bool(const PrefetchKey&)>& stale);
 
   /// Shared enqueue path: `affinity_object` is the grouping hint a
   /// pooled pump reads (pages use their own object id).
   void Enqueue(const PrefetchKey& key, int distance, PageWork work,
                uint64_t affinity_object, uint64_t bytes = 0);
 
-  /// Runs one entry's work on the background channel; true when the
-  /// entry became ready.
-  bool Issue(Entry& entry);
+  /// Runs one entry's work on the background channel; the entry turns
+  /// ready, or is erased when the work fails.
+  void Issue(EntryRef entry);
 
   /// Stages `picked` (in pick order) as one pool epoch grouped by
   /// affinity, then books costs and outcomes serially in pick order.
-  void IssuePooled(const std::vector<PrefetchKey>& picked);
+  void IssuePooled(const std::vector<EntryRef>& picked);
+
+  /// Moves a queued entry to ready at `ready_at`.
+  void MarkReady(EntryRef entry, Micros ready_at);
+  /// Removes an entry and its index records, without counting it.
+  void Erase(EntryRef entry);
+  /// Erases an entry as cancelled (queued) or wasted (ready).
+  void Drop(EntryRef entry);
+  /// Drops every entry in [first, last) whose key matches `stale`
+  /// (every entry when `stale` is null).
+  void DropRange(EntryRef first, EntryRef last,
+                 const std::function<bool(const PrefetchKey&)>& stale);
+  /// Drops the entries of `kind` for `object_id`, across owners, that
+  /// match `stale` (all of them when `stale` is null).
+  void DropObject(PrefetchKind kind, uint64_t object_id,
+                  const std::function<bool(const PrefetchKey&)>& stale);
+
+  /// Take `book` out of / put it back into the victim index; a book
+  /// with no ready entries is not ranked.
+  void Unrank(uint64_t owner, const OwnerBook& book);
+  void Rank(uint64_t owner, const OwnerBook& book);
 
   /// Sheds ready entries down to ready_capacity: victim owner is the
   /// one with the most ready bytes (ties broken toward the globally
@@ -276,7 +338,12 @@ class PrefetchQueue {
   SimClock* clock_;
   std::vector<Link*> links_;  ///< Borrowed; background scopes span all.
   PrefetchOptions options_;
-  std::map<PrefetchKey, Entry> entries_;
+  EntryMap entries_;
+  /// Queued entries in pick order: nearest distance, then FIFO.
+  std::map<std::pair<int, uint64_t>, EntryRef> pick_;
+  std::unordered_map<uint64_t, OwnerBook> owners_;  ///< Live owners only.
+  std::set<VictimRank> victims_;  ///< Owners holding ready entries.
+  size_t ready_count_ = 0;
   uint64_t next_seq_ = 0;
   Micros bg_free_at_ = 0;  ///< Background channel horizon.
   bool pumping_ = false;   ///< Reentrancy guard.

@@ -107,6 +107,7 @@ SessionId SessionManager::Open(std::string profile) {
     Admit(it->second);
   } else {
     admission_queue_.push_back(id);
+    ++queued_count_;
     admission_queued_->Increment();
   }
   active_gauge_->Set(static_cast<double>(active_count_));
@@ -138,6 +139,7 @@ void SessionManager::AdmitFromQueue(Micros now) {
     admission_queue_.pop_front();
     Session* s = Find(id);
     if (s == nullptr || s->state != SessionState::kQueued) continue;
+    --queued_count_;
     Admit(*s);
     s->last_activity = now;  // Fresh slot: the idle clock starts now.
     queue_admitted_->Increment();
@@ -173,6 +175,7 @@ void SessionManager::CloseSession(Session& s, bool reaped) {
     --active_count_;
     (reaped ? reaped_ : closed_)->Increment();
   } else {
+    --queued_count_;
     closed_->Increment();
   }
   s.state = SessionState::kClosed;
@@ -275,10 +278,7 @@ void SessionManager::InvalidateObject(storage::ObjectId object) {
   // Appended content re-apportions every page's byte ranges, so staged
   // speculation for the object — whoever owns it — is stale, and every
   // reading session re-delivers against the fresh plan.
-  queue_->CancelWhere([&](const server::PrefetchKey& key) {
-    return key.kind != server::PrefetchKind::kMiniature &&
-           key.object_id == object;
-  });
+  queue_->CancelObject(object);
   for (auto& [id, s] : sessions_) {
     if (s.object == object) {
       s.delivered.clear();
@@ -506,12 +506,12 @@ std::vector<SessionOutcome> SessionManager::PumpEpoch(
         if (ev.kind == SessionEvent::Kind::kJump) {
           const int radius = std::max(1, std::abs(EffectiveStride(*s))) *
                              std::max(1, options_.speculate_depth);
-          queue_->CancelWhere([&](const server::PrefetchKey& key) {
-            return key.owner == s->id &&
-                   key.kind == server::PrefetchKind::kVisualPage &&
+          auto stale = [&](const server::PrefetchKey& key) {
+            return key.kind == server::PrefetchKind::kVisualPage &&
                    key.object_id == s->object &&
                    std::abs(key.index - target) > radius;
-          });
+          };
+          queue_->CancelOwnerWhere(s->id, stale);
           LearnStride(*s, target - s->page);
         } else {
           LearnStride(*s, ev.delta);
@@ -674,14 +674,6 @@ std::vector<SessionOutcome> SessionManager::PumpEpoch(
 SessionState SessionManager::state(SessionId id) const {
   const Session* s = Find(id);
   return s == nullptr ? SessionState::kClosed : s->state;
-}
-
-size_t SessionManager::queued_count() const {
-  size_t n = 0;
-  for (const auto& [id, s] : sessions_) {
-    if (s.state == SessionState::kQueued) ++n;
-  }
-  return n;
 }
 
 int SessionManager::stride(SessionId id) const {

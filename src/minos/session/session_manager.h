@@ -179,7 +179,7 @@ class SessionManager {
 
   SessionState state(SessionId id) const;
   size_t active_count() const { return active_count_; }
-  size_t queued_count() const;
+  size_t queued_count() const { return queued_count_; }
   /// The learned stride (pages per turn) speculation uses for `id`.
   int stride(SessionId id) const;
   /// Whether the session's trace root was sampled in.
@@ -283,6 +283,7 @@ class SessionManager {
   std::map<SessionId, Session> sessions_;
   std::deque<SessionId> admission_queue_;
   size_t active_count_ = 0;
+  size_t queued_count_ = 0;  ///< Sessions in state kQueued.
   std::map<uint64_t, int> lease_use_;  ///< Affinity -> live leases.
   Micros traced_active_us_ = 0;
 

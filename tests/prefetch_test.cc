@@ -8,7 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <functional>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "minos/core/visual_browser.h"
 #include "minos/server/object_server.h"
@@ -329,6 +338,493 @@ TEST(PrefetchQueueTest, CancelObjectSparesOtherObjectsAndMiniatures) {
   EXPECT_FALSE(h.queue.TakePage(Page(1, 2)));  // Re-opened: invalidated.
   EXPECT_TRUE(h.queue.TakePage(Page(2, 2)));
   EXPECT_TRUE(h.queue.TakeMiniature(0, 4).has_value());
+}
+
+// --- Differential check against a scan-based reference ------------------
+
+/// The queue's contract written the direct way: every operation scans
+/// every entry, picks with a nested scan, and rebuilds the owner table
+/// for each eviction. The indexed queue must make the same picks, evict
+/// the same victims and count the same outcomes.
+class ReferenceQueue {
+ public:
+  /// What one entry's work does when issued.
+  struct Work {
+    Micros cost = 0;
+    bool fails = false;
+    uint64_t card_id = 0;  ///< Miniatures: the id of the staged card.
+  };
+
+  struct Counts {
+    int64_t enqueued = 0, issued = 0, hits = 0, partial_hits = 0,
+            misses = 0, wasted = 0, cancelled = 0, errors = 0;
+    int64_t waits = 0, costs = 0;
+    double wait_sum = 0, cost_sum = 0;
+  };
+
+  explicit ReferenceQueue(const PrefetchOptions& options)
+      : options_(options) {}
+
+  void Want(const PrefetchKey& key, int distance, uint64_t bytes,
+            const Work& work) {
+    if (entries_.count(key) > 0) return;
+    Entry entry;
+    entry.distance = std::abs(distance);
+    entry.seq = next_seq_++;
+    entry.bytes = bytes;
+    entry.work = work;
+    entries_.emplace(key, entry);
+    ++counts_.enqueued;
+  }
+
+  /// Returns the keys issued, in pick order.
+  std::vector<PrefetchKey> Pump() {
+    std::vector<PrefetchKey> picked;
+    for (int slot = 0; slot < options_.max_inflight_per_pump; ++slot) {
+      const PrefetchKey* pick = nullptr;
+      for (const auto& [key, entry] : entries_) {
+        if (entry.ready ||
+            std::find(picked.begin(), picked.end(), key) != picked.end()) {
+          continue;
+        }
+        const Entry* best = pick == nullptr ? nullptr : &entries_.at(*pick);
+        if (best == nullptr || entry.distance < best->distance ||
+            (entry.distance == best->distance && entry.seq < best->seq)) {
+          pick = &key;
+        }
+      }
+      if (pick == nullptr) break;
+      picked.push_back(*pick);
+    }
+    for (const PrefetchKey& key : picked) {
+      Entry& entry = entries_.at(key);
+      ++counts_.issued;
+      ++counts_.costs;
+      counts_.cost_sum += static_cast<double>(entry.work.cost);
+      bg_free_at_ = std::max(bg_free_at_, now_) + entry.work.cost;
+      if (entry.work.fails) {
+        ++counts_.errors;
+        entries_.erase(key);
+        continue;
+      }
+      entry.ready = true;
+      entry.ready_at = bg_free_at_;
+    }
+    while (ready_count() > options_.ready_capacity) {
+      struct OwnerStat {
+        uint64_t bytes = 0;
+        uint64_t stalest_seq = ~0ull;
+      };
+      std::map<uint64_t, OwnerStat> owners;
+      for (const auto& [key, entry] : entries_) {
+        if (!entry.ready) continue;
+        OwnerStat& stat = owners[key.owner];
+        stat.bytes += entry.bytes;
+        stat.stalest_seq = std::min(stat.stalest_seq, entry.seq);
+      }
+      uint64_t victim_owner = 0;
+      const OwnerStat* best = nullptr;
+      for (const auto& [owner, stat] : owners) {
+        if (best == nullptr || stat.bytes > best->bytes ||
+            (stat.bytes == best->bytes &&
+             stat.stalest_seq < best->stalest_seq)) {
+          victim_owner = owner;
+          best = &stat;
+        }
+      }
+      const PrefetchKey* victim = nullptr;
+      for (const auto& [key, entry] : entries_) {
+        if (!entry.ready || key.owner != victim_owner) continue;
+        if (victim == nullptr || entry.seq < entries_.at(*victim).seq) {
+          victim = &key;
+        }
+      }
+      entries_.erase(*victim);
+      ++counts_.wasted;
+    }
+    return picked;
+  }
+
+  bool TakePage(const PrefetchKey& key) {
+    auto it = entries_.find(key);
+    if (it == entries_.end()) {
+      ++counts_.misses;
+      return false;
+    }
+    if (!it->second.ready) {
+      entries_.erase(it);
+      ++counts_.misses;
+      return false;
+    }
+    if (it->second.ready_at > now_) {
+      const Micros residual = it->second.ready_at - now_;
+      if (key.kind != PrefetchKind::kObject &&
+          residual > options_.max_page_wait_us) {
+        entries_.erase(it);
+        ++counts_.wasted;
+        ++counts_.misses;
+        return false;
+      }
+      now_ += residual;
+      ++counts_.waits;
+      counts_.wait_sum += static_cast<double>(residual);
+      ++counts_.partial_hits;
+    } else {
+      ++counts_.waits;
+      ++counts_.hits;
+    }
+    entries_.erase(it);
+    return true;
+  }
+
+  /// The card id delivered, or nullopt on a miss.
+  std::optional<uint64_t> TakeMiniature(int position, uint64_t expected_id) {
+    const PrefetchKey key{PrefetchKind::kMiniature, 0, position};
+    auto it = entries_.find(key);
+    if (it != entries_.end() && it->second.ready &&
+        it->second.work.card_id != expected_id) {
+      entries_.erase(it);
+      ++counts_.wasted;
+      ++counts_.misses;
+      return std::nullopt;
+    }
+    const uint64_t card = it != entries_.end() ? it->second.work.card_id : 0;
+    if (!TakePage(key)) return std::nullopt;
+    return card;
+  }
+
+  void CancelWhere(const std::function<bool(const PrefetchKey&)>& stale) {
+    for (auto it = entries_.begin(); it != entries_.end();) {
+      if (!stale(it->first)) {
+        ++it;
+        continue;
+      }
+      ++(it->second.ready ? counts_.wasted : counts_.cancelled);
+      it = entries_.erase(it);
+    }
+  }
+
+  void OnJump(PrefetchKind kind, uint64_t object_id, int new_cursor) {
+    const int radius = kind == PrefetchKind::kMiniature
+                           ? options_.miniature_radius
+                           : std::max(options_.pages_ahead,
+                                      options_.pages_behind);
+    CancelWhere([&](const PrefetchKey& key) {
+      return key.kind == kind && key.object_id == object_id &&
+             std::abs(key.index - new_cursor) > radius;
+    });
+  }
+
+  void Advance(Micros delta) { now_ += delta; }
+  Micros now() const { return now_; }
+
+  size_t ready_count() const {
+    size_t n = 0;
+    for (const auto& [key, entry] : entries_) n += entry.ready ? 1 : 0;
+    return n;
+  }
+  size_t size() const { return entries_.size(); }
+  uint64_t OutstandingBytes(uint64_t owner) const {
+    uint64_t bytes = 0;
+    for (const auto& [key, entry] : entries_) {
+      if (key.owner == owner) bytes += entry.bytes;
+    }
+    return bytes;
+  }
+  const Counts& counts() const { return counts_; }
+
+ private:
+  struct Entry {
+    int distance = 0;
+    uint64_t seq = 0;
+    bool ready = false;
+    Micros ready_at = 0;
+    uint64_t bytes = 0;
+    Work work;
+  };
+
+  PrefetchOptions options_;
+  std::map<PrefetchKey, Entry> entries_;
+  uint64_t next_seq_ = 0;
+  Micros bg_free_at_ = 0;
+  Micros now_ = 0;
+  Counts counts_;
+};
+
+/// Drives the real queue and the reference with one seeded sequence of
+/// operations and compares them after every step. `pooled` stages each
+/// pump on a two-worker TaskPool grouped by object, so only the set of
+/// keys issued per pump (not their run order) is comparable there.
+void RunDifferential(uint64_t seed, bool pooled) {
+  SCOPED_TRACE("seed " + std::to_string(seed) +
+               (pooled ? " pooled" : " serial"));
+  std::mt19937_64 rng(seed);
+  auto uniform = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  constexpr int kObjects = 3;
+  constexpr int kPages = 6;
+  constexpr int kOwners = 7;
+  constexpr int kPositions = 5;
+
+  PrefetchOptions options;
+  options.pages_ahead = uniform(0, 3);
+  options.pages_behind = uniform(0, 2);
+  options.miniature_radius = uniform(0, 2);
+  options.max_inflight_per_pump = uniform(1, 5);
+  options.ready_capacity = static_cast<size_t>(uniform(0, 5));
+  options.max_page_wait_us = uniform(0, 3000);
+  SimClock clock;
+  obs::MetricsRegistry registry;
+  runtime::TaskPool pool(&clock, 2);
+  auto queue = std::make_unique<PrefetchQueue>(
+      &clock, nullptr, QueueHarness::WithRegistry(options, &registry));
+  ReferenceQueue ref(options);
+  if (pooled) {
+    queue->SetTaskPool(&pool, [](uint64_t object_id) {
+      return 1 + object_id % 2;
+    });
+  }
+  auto count = [&registry](const std::string& name) {
+    return registry.counter("prefetch." + name)->value();
+  };
+
+  std::mutex ran_mu;
+  std::vector<PrefetchKey> ran;  // Keys whose work ran, in run order.
+  auto record = [&ran_mu, &ran](const PrefetchKey& key) {
+    std::lock_guard<std::mutex> lock(ran_mu);
+    ran.push_back(key);
+  };
+  auto random_work = [&] {
+    ReferenceQueue::Work work;
+    work.cost = uniform(0, 2000);
+    work.fails = uniform(0, 9) == 0;
+    work.card_id = static_cast<uint64_t>(uniform(1, 3));
+    return work;
+  };
+  auto page_key = [&] {
+    return PrefetchKey{uniform(0, 1) == 0 ? PrefetchKind::kVisualPage
+                                          : PrefetchKind::kAudioPage,
+                       static_cast<uint64_t>(uniform(1, kObjects)),
+                       uniform(0, kPages - 1),
+                       static_cast<uint64_t>(uniform(0, kOwners - 1))};
+  };
+
+  auto want_page = [&](const PrefetchKey& key) {
+    const int distance = uniform(-3, 5);
+    // Half the entries are untracked (0 bytes), the legacy tie case.
+    const uint64_t bytes =
+        uniform(0, 1) == 0 ? 0 : static_cast<uint64_t>(uniform(1, 5000));
+    const ReferenceQueue::Work work = random_work();
+    ref.Want(key, distance, bytes, work);
+    queue->WantPage(
+        key, distance,
+        [&clock, &record, key, work] {
+          clock.Advance(work.cost);
+          record(key);
+          return work.fails ? Status::Unavailable("injected")
+                            : Status::OK();
+        },
+        bytes);
+  };
+  auto want_object = [&](uint64_t object_id) {
+    const int distance = uniform(-3, 5);
+    const ReferenceQueue::Work work = random_work();
+    const PrefetchKey key{PrefetchKind::kObject, object_id, 0};
+    ref.Want(key, distance, 0, work);
+    queue->WantObject(
+        object_id, distance,
+        [&clock, &record, key, work]() -> StatusOr<MultimediaObject> {
+          clock.Advance(work.cost);
+          record(key);
+          if (work.fails) return Status::Unavailable("injected");
+          return MultimediaObject(key.object_id);
+        });
+  };
+  auto want_miniature = [&](int position) {
+    const int distance = uniform(-3, 5);
+    const ReferenceQueue::Work work = random_work();
+    const PrefetchKey key{PrefetchKind::kMiniature, 0, position};
+    ref.Want(key, distance, 0, work);
+    queue->WantMiniature(
+        position, distance,
+        [&clock, &record, key, work]() -> StatusOr<MiniatureCard> {
+          clock.Advance(work.cost);
+          record(key);
+          if (work.fails) return Status::Unavailable("injected");
+          MiniatureCard card;
+          card.id = work.card_id;
+          return card;
+        },
+        work.card_id);
+  };
+  auto take_object = [&](uint64_t object_id) {
+    const bool expected =
+        ref.TakePage(PrefetchKey{PrefetchKind::kObject, object_id, 0});
+    const std::optional<MultimediaObject> got = queue->TakeObject(object_id);
+    ASSERT_EQ(got.has_value(), expected) << "object " << object_id;
+    if (got.has_value()) {
+      EXPECT_EQ(got->id(), object_id);
+    }
+  };
+  auto take_miniature = [&](int position, uint64_t expected_id) {
+    const std::optional<uint64_t> expected =
+        ref.TakeMiniature(position, expected_id);
+    const std::optional<MiniatureCard> got =
+        queue->TakeMiniature(position, expected_id);
+    ASSERT_EQ(got.has_value(), expected.has_value()) << "pos " << position;
+    if (got.has_value()) {
+      EXPECT_EQ(got->id, *expected);
+    }
+  };
+
+  auto check = [&](int step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const ReferenceQueue::Counts& want = ref.counts();
+    ASSERT_EQ(clock.Now(), ref.now());
+    ASSERT_EQ(queue->ready_count(), ref.ready_count());
+    ASSERT_EQ(queue->queued_count(), ref.size() - ref.ready_count());
+    for (uint64_t owner = 0; owner < kOwners; ++owner) {
+      ASSERT_EQ(queue->OutstandingBytes(owner), ref.OutstandingBytes(owner))
+          << "owner " << owner;
+    }
+    ASSERT_EQ(count("enqueued"), want.enqueued);
+    ASSERT_EQ(count("issued"), want.issued);
+    ASSERT_EQ(count("hits"), want.hits);
+    ASSERT_EQ(count("partial_hits"), want.partial_hits);
+    ASSERT_EQ(count("misses"), want.misses);
+    ASSERT_EQ(count("wasted"), want.wasted);
+    ASSERT_EQ(count("cancelled"), want.cancelled);
+    ASSERT_EQ(count("errors"), want.errors);
+    obs::Histogram* wait = registry.histogram("prefetch.wait_us");
+    obs::Histogram* cost = registry.histogram("prefetch.issue_cost_us");
+    ASSERT_EQ(wait->count(), want.waits);
+    ASSERT_EQ(wait->sum(), want.wait_sum);
+    ASSERT_EQ(cost->count(), want.costs);
+    ASSERT_EQ(cost->sum(), want.cost_sum);
+    ASSERT_EQ(registry.gauge("prefetch.queue_depth")->value(),
+              static_cast<double>(ref.size()));
+  };
+
+  constexpr int kSteps = 600;
+  for (int step = 0; step < kSteps; ++step) {
+    const int op = uniform(0, 99);
+    if (op < 34) {
+      want_page(page_key());
+    } else if (op < 38) {
+      want_object(static_cast<uint64_t>(uniform(1, kObjects)));
+    } else if (op < 44) {
+      want_miniature(uniform(0, kPositions - 1));
+    } else if (op < 56) {
+      const PrefetchKey key = page_key();
+      const bool expected = ref.TakePage(key);
+      ASSERT_EQ(queue->TakePage(key), expected);
+    } else if (op < 59) {
+      take_object(static_cast<uint64_t>(uniform(1, kObjects)));
+    } else if (op < 63) {
+      take_miniature(uniform(0, kPositions - 1),
+                     static_cast<uint64_t>(uniform(1, 3)));
+    } else if (op < 67) {
+      const PrefetchKind kind = static_cast<PrefetchKind>(uniform(0, 3));
+      const uint64_t object_id =
+          kind == PrefetchKind::kMiniature
+              ? 0
+              : static_cast<uint64_t>(uniform(1, kObjects));
+      const int cursor = uniform(0, kPages - 1);
+      ref.OnJump(kind, object_id, cursor);
+      queue->OnJump(kind, object_id, cursor);
+    } else if (op < 69) {
+      const PrefetchKind kind = static_cast<PrefetchKind>(uniform(0, 3));
+      ref.CancelWhere(
+          [kind](const PrefetchKey& key) { return key.kind == kind; });
+      queue->Cancel(kind);
+    } else if (op < 71) {
+      const uint64_t object_id = static_cast<uint64_t>(uniform(1, kObjects));
+      ref.CancelWhere([object_id](const PrefetchKey& key) {
+        return key.kind != PrefetchKind::kMiniature &&
+               key.object_id == object_id;
+      });
+      queue->CancelObject(object_id);
+    } else if (op < 72) {
+      ref.CancelWhere([](const PrefetchKey&) { return true; });
+      queue->CancelAll();
+    } else if (op < 76) {
+      const uint64_t owner = static_cast<uint64_t>(uniform(0, kOwners - 1));
+      ref.CancelWhere(
+          [owner](const PrefetchKey& key) { return key.owner == owner; });
+      queue->CancelOwner(owner);
+    } else if (op < 80) {
+      // A session jump: this owner's pages of one object outside a
+      // radius of the new cursor.
+      const uint64_t owner = static_cast<uint64_t>(uniform(0, kOwners - 1));
+      const uint64_t object_id = static_cast<uint64_t>(uniform(1, kObjects));
+      const int cursor = uniform(0, kPages - 1);
+      const int radius = uniform(0, 2);
+      auto stale = [&](const PrefetchKey& key) {
+        return key.kind == PrefetchKind::kVisualPage &&
+               key.object_id == object_id &&
+               std::abs(key.index - cursor) > radius;
+      };
+      ref.CancelWhere([&](const PrefetchKey& key) {
+        return key.owner == owner && stale(key);
+      });
+      queue->CancelOwnerWhere(owner, stale);
+    } else if (op < 94) {
+      ran.clear();
+      std::vector<PrefetchKey> expected = ref.Pump();
+      queue->Pump();
+      if (pooled) {
+        std::sort(expected.begin(), expected.end());
+        std::sort(ran.begin(), ran.end());
+      }
+      ASSERT_EQ(ran, expected) << "pick order, step " << step;
+    } else if (op < 99) {
+      const Micros delta = uniform(0, 2500);
+      ref.Advance(delta);
+      clock.Advance(delta);
+    } else {
+      // Probe every key: the live sets of both queues must agree.
+      for (int kind = 2; kind <= 3; ++kind) {
+        for (uint64_t object_id = 1; object_id <= kObjects; ++object_id) {
+          for (int index = 0; index < kPages; ++index) {
+            for (uint64_t owner = 0; owner < kOwners; ++owner) {
+              const PrefetchKey key{static_cast<PrefetchKind>(kind),
+                                    object_id, index, owner};
+              const bool expected = ref.TakePage(key);
+              ASSERT_EQ(queue->TakePage(key), expected);
+            }
+          }
+        }
+      }
+      for (uint64_t object_id = 1; object_id <= kObjects; ++object_id) {
+        take_object(object_id);
+      }
+      for (int position = 0; position < kPositions; ++position) {
+        take_miniature(position, static_cast<uint64_t>(uniform(1, 3)));
+      }
+    }
+    check(step);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // Unconsumed ready entries die wasted with the queue.
+  const int64_t wasted = ref.counts().wasted +
+                         static_cast<int64_t>(ref.ready_count());
+  queue.reset();
+  EXPECT_EQ(count("wasted"), wasted);
+}
+
+TEST(PrefetchDifferentialTest, MatchesScanReferenceSerially) {
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    RunDifferential(seed, /*pooled=*/false);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(PrefetchDifferentialTest, MatchesScanReferenceWhenPooled) {
+  for (uint64_t seed = 101; seed <= 130; ++seed) {
+    RunDifferential(seed, /*pooled=*/true);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 // --- Fault posture: the breaker belongs to the foreground ---------------

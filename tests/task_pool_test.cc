@@ -200,6 +200,22 @@ TEST(TaskPoolTest, StealHeavyStress) {
   EXPECT_EQ(total.load(), expected);
 }
 
+TEST(TaskPoolTest, BackToBackEpochsNeverClaimEachOthersTasks) {
+  // Regression: a worker that saw epoch A still running could claim an
+  // index epoch B had just queued, run it against A's finished task
+  // vector, and leave B waiting forever. Tiny epochs back to back keep
+  // that window open; a hang here is caught by the ctest timeout.
+  SimClock clock;
+  TaskPool pool(&clock, 4);
+  constexpr uint64_t kEpochs = 200'000;
+  constexpr size_t kTasks = 4;
+  for (uint64_t epoch = 0; epoch < kEpochs; ++epoch) {
+    pool.RunEpoch(std::vector<TaskPool::Task>(kTasks, [] {}));
+  }
+  EXPECT_EQ(pool.epochs_run(), kEpochs);
+  EXPECT_EQ(pool.tasks_run(), kEpochs * kTasks);
+}
+
 TEST(TaskPoolTest, LowestIndexExceptionPropagatesAndPoolSurvives) {
   SimClock clock;
   TaskPool pool(&clock, 4);
