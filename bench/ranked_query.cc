@@ -319,7 +319,10 @@ int Run() {
 
   // --- Gate 5: wall-clock speedup curve --------------------------------
   // Wall time is schedule-dependent, so the curve stays on stdout and
-  // the >=1.8x gate only arms with four or more hardware cores.
+  // the >=1.8x gate only arms with four or more hardware cores. A miss
+  // is recorded rather than returned: gates 6-7 still run and the
+  // artifacts still carry the full sim time before the bench exits 1.
+  bool speedup_failed = false;
   {
     auto time_ranked_wall = [&](int workers, Micros* virt) -> double {
       std::unique_ptr<Topology> topo = BuildTopology(4, workers);
@@ -369,10 +372,11 @@ int Run() {
         std::printf("FAIL: speedup curve not monotonic >=1.8x at 4 "
                     "workers (2w %.2fx, 4w %.2fx)\n",
                     speedup2, speedup4);
-        return 1;
+        speedup_failed = true;
+      } else {
+        std::printf("gate: 4-worker ranked gather is %.2fx the 1-worker "
+                    "wall time\n", speedup4);
       }
-      std::printf("gate: 4-worker ranked gather is %.2fx the 1-worker "
-                  "wall time\n", speedup4);
     } else {
       std::printf("gate: speedup advisory only (%u hardware threads "
                   "< 4)\n", std::thread::hardware_concurrency());
@@ -532,7 +536,7 @@ int Run() {
   }
 
   bench::NoteSimTime(total_sim_time);
-  return 0;
+  return speedup_failed ? 1 : 0;
 }
 
 }  // namespace

@@ -484,7 +484,10 @@ int Run() {
   // Real threads must buy real throughput. Wall time is inherently
   // schedule-dependent, so it stays on stdout (never in the registry),
   // and the >=1.8x gate only arms on machines with at least four
-  // hardware cores — elsewhere the curve is reported but advisory.
+  // hardware cores — elsewhere the curve is reported but advisory. A
+  // miss is recorded rather than returned, so the artifacts still carry
+  // the full sim time before the bench exits 1.
+  bool speedup_failed = false;
   {
     double wall[3] = {0, 0, 0};
     Micros virtual_us[3] = {0, 0, 0};
@@ -519,10 +522,11 @@ int Run() {
         std::printf("FAIL: speedup curve not monotonic >=1.8x at 4 "
                     "workers (2w %.2fx, 4w %.2fx)\n",
                     speedup2, speedup4);
-        return 1;
+        speedup_failed = true;
+      } else {
+        std::printf("gate: 4-worker scatter is %.2fx the 1-worker wall "
+                    "time\n", speedup4);
       }
-      std::printf("gate: 4-worker scatter is %.2fx the 1-worker wall "
-                  "time\n", speedup4);
     } else {
       std::printf("gate: speedup advisory only (%u hardware threads "
                   "< 4)\n", std::thread::hardware_concurrency());
@@ -530,7 +534,7 @@ int Run() {
   }
 
   bench::NoteSimTime(total_sim_time);
-  return 0;
+  return speedup_failed ? 1 : 0;
 }
 
 }  // namespace

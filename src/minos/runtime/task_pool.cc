@@ -29,7 +29,11 @@ std::vector<Micros> TaskPool::RunEpoch(std::vector<Task> tasks,
   if (tasks.empty()) return {};
   // A task submitting an epoch would deadlock waiting for workers that
   // are waiting for it; run nested epochs inline on the caller's frame.
-  if (t_in_task_) return RunInline(tasks, model);
+  if (t_in_task_) {
+    epochs_run_.fetch_add(1, std::memory_order_relaxed);
+    tasks_run_.fetch_add(tasks.size(), std::memory_order_relaxed);
+    return RunInline(clock_, tasks, model);
+  }
 
   const Micros base = clock_->Now();
   std::vector<Micros> costs(tasks.size(), 0);
@@ -92,13 +96,14 @@ std::vector<Micros> TaskPool::RunEpoch(std::vector<Task> tasks,
   return costs;
 }
 
-std::vector<Micros> TaskPool::RunInline(std::vector<Task>& tasks,
+std::vector<Micros> TaskPool::RunInline(SimClock* clock,
+                                        std::vector<Task>& tasks,
                                         TimeModel model) {
-  const Micros base = clock_->Now();
+  const Micros base = clock->Now();
   std::vector<Micros> costs(tasks.size(), 0);
   std::vector<std::exception_ptr> errors(tasks.size());
   for (size_t i = 0; i < tasks.size(); ++i) {
-    SimClock::Frame frame(clock_, base);
+    SimClock::Frame frame(clock, base);
     try {
       tasks[i]();
     } catch (...) {
@@ -108,12 +113,18 @@ std::vector<Micros> TaskPool::RunInline(std::vector<Task>& tasks,
   }
   // Inside a task the "base clock" is the caller's own frame; AdvanceTo
   // is frame-aware, so the fold lands in the right timeline. Spans the
-  // nested tasks started are already in the caller's sink, in order.
-  clock_->AdvanceTo(base + FoldCosts(costs, model));
-  epochs_run_.fetch_add(1, std::memory_order_relaxed);
-  tasks_run_.fetch_add(tasks.size(), std::memory_order_relaxed);
+  // tasks started went straight to their tracer (or the enclosing
+  // task's sink), already in task order.
+  clock->AdvanceTo(base + FoldCosts(costs, model));
   RethrowFirst(errors);
   return costs;
+}
+
+std::vector<Micros> RunEpoch(TaskPool* pool, SimClock* clock,
+                             std::vector<TaskPool::Task> tasks,
+                             TaskPool::TimeModel model) {
+  if (pool != nullptr) return pool->RunEpoch(std::move(tasks), model);
+  return TaskPool::RunInline(clock, tasks, model);
 }
 
 Micros TaskPool::FoldCosts(const std::vector<Micros>& costs,

@@ -64,6 +64,9 @@ namespace minos::runtime {
 /// shard scatter) runs the nested epoch inline on its own frame —
 /// serially, with identical virtual-time math — so composition can
 /// never deadlock the worker set.
+///
+/// Fan-out sites call the free runtime::RunEpoch below, which also
+/// accepts a null pool.
 class TaskPool {
  public:
   using Task = std::function<void()>;
@@ -148,10 +151,20 @@ class TaskPool {
   /// finds only a newer epoch's slots, never claims them, and goes back
   /// to wait for that epoch with the right task vector.
   bool ClaimTask(size_t self, uint64_t generation, size_t* index);
-  /// Serial fallback with identical semantics: nested RunEpoch calls.
-  std::vector<Micros> RunInline(std::vector<Task>& tasks, TimeModel model);
+  friend std::vector<Micros> RunEpoch(TaskPool* pool, SimClock* clock,
+                                      std::vector<Task> tasks,
+                                      TimeModel model);
+
+  /// The one inline epoch loop, shared by nested epochs and pool-less
+  /// callers: each task runs on the calling thread in its own frame of
+  /// `clock` starting at the current time, then the clock advances by
+  /// the folded costs and the lowest-index exception is rethrown.
+  /// InTask() is not set.
+  static std::vector<Micros> RunInline(SimClock* clock,
+                                       std::vector<Task>& tasks,
+                                       TimeModel model);
   static Micros FoldCosts(const std::vector<Micros>& costs, TimeModel model);
-  void RethrowFirst(const std::vector<std::exception_ptr>& errors);
+  static void RethrowFirst(const std::vector<std::exception_ptr>& errors);
 
   SimClock* clock_;
   obs::Tracer* tracer_ = nullptr;
@@ -173,6 +186,17 @@ class TaskPool {
   /// Set while the calling thread executes a pool task.
   inline static thread_local bool t_in_task_ = false;
 };
+
+/// Runs `tasks` as one epoch over `clock`: on `pool` when it is non-null,
+/// otherwise inline on the calling thread. Both forms give each task a
+/// private frame starting at the current time, advance the clock by the
+/// folded costs, and return the per-task costs in task order, so results
+/// never depend on whether a pool is attached. Inline tasks run with
+/// InTask() false: they may touch state that pool tasks must leave to
+/// the submitting thread (e.g. the router's failover demotion).
+std::vector<Micros> RunEpoch(
+    TaskPool* pool, SimClock* clock, std::vector<TaskPool::Task> tasks,
+    TaskPool::TimeModel model = TaskPool::TimeModel::kParallel);
 
 }  // namespace minos::runtime
 

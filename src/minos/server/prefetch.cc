@@ -61,7 +61,8 @@ void PrefetchQueue::UpdateDepth() {
 void PrefetchQueue::SetTaskPool(runtime::TaskPool* pool,
                                 AffinityFn affinity) {
   pool_ = pool;
-  affinity_ = std::move(affinity);
+  // Without a pool, picks stage one after another in pick order.
+  affinity_ = pool != nullptr ? std::move(affinity) : nullptr;
 }
 
 void PrefetchQueue::Enqueue(const PrefetchKey& key, int distance,
@@ -170,35 +171,6 @@ void PrefetchQueue::WantMiniature(int position, int distance, CardWork work,
           affinity_object);
 }
 
-void PrefetchQueue::Issue(EntryRef it) {
-  const Micros start = clock_->Now();
-  Status verdict = Status::OK();
-  {
-    // One scope per link: a sharded fetch may fail over mid-work, and
-    // every link it touches must see the access as speculative.
-    std::vector<std::unique_ptr<Link::BackgroundScope>> background;
-    background.reserve(links_.size());
-    for (Link* link : links_) {
-      background.push_back(std::make_unique<Link::BackgroundScope>(link));
-    }
-    verdict = it->second.run();
-  }
-  const Micros cost = clock_->Now() - start;
-  // The foreground never saw this work: rewind and book the cost on the
-  // serialized background channel instead.
-  clock_->RewindTo(start);
-  issued_->Increment();
-  issue_cost_us_->Record(static_cast<double>(cost));
-  // Failed speculative work still occupied the channel while it tried.
-  bg_free_at_ = std::max(bg_free_at_, start) + cost;
-  if (!verdict.ok()) {
-    errors_->Increment();
-    Erase(it);
-    return;
-  }
-  MarkReady(it, bg_free_at_);
-}
-
 void PrefetchQueue::Pump() {
   if (pumping_) return;  // A pumped transfer's retry is pumping us.
   pumping_ = true;
@@ -215,17 +187,14 @@ void PrefetchQueue::Pump() {
     if (picked.size() == limit) break;
     picked.push_back(it);
   }
-  if (pool_ != nullptr && picked.size() > 1) {
-    IssuePooled(picked);
-  } else {
-    for (EntryRef it : picked) Issue(it);
-  }
+  Issue(picked);
   EvictOverCapacity();
   UpdateDepth();
   pumping_ = false;
 }
 
-void PrefetchQueue::IssuePooled(const std::vector<EntryRef>& picked) {
+void PrefetchQueue::Issue(const std::vector<EntryRef>& picked) {
+  if (picked.empty()) return;
   // Group the picks by staging affinity: entries bound for different
   // shards ride different arms and may stage concurrently; entries of
   // one group — and every pick when no affinity oracle is installed —
@@ -255,7 +224,9 @@ void PrefetchQueue::IssuePooled(const std::vector<EntryRef>& picked) {
   {
     // The background scopes span the whole epoch from this thread: the
     // per-link flag is a plain bool, so it must be set before any task
-    // runs and cleared after the barrier, never toggled mid-epoch.
+    // runs and cleared after the barrier, never toggled mid-epoch. One
+    // scope per link: a sharded fetch may fail over mid-work, and every
+    // link it touches must see the access as speculative.
     std::vector<std::unique_ptr<Link::BackgroundScope>> background;
     background.reserve(links_.size());
     for (Link* link : links_) {
@@ -269,18 +240,20 @@ void PrefetchQueue::IssuePooled(const std::vector<EntryRef>& picked) {
           const Micros start = clock_->Now();
           outcomes[i].verdict = picked[i]->second.run();
           outcomes[i].cost = clock_->Now() - start;
-          // The frame never advances: staging time is booked on the
-          // background channel below, exactly like the serial pump.
+          // The foreground never sees this work: the frame rewinds and
+          // the cost is booked on the background channel below.
           clock_->RewindTo(start);
         }
       });
     }
-    pool_->RunEpoch(std::move(tasks));
+    // A single pick gains nothing from a thread handoff: it runs inline.
+    runtime::RunEpoch(picked.size() > 1 ? pool_ : nullptr, clock_,
+                      std::move(tasks));
   }
 
-  // Booking pass, in pick order: identical channel math and metric
-  // order to issuing serially (every serial issue started at this same
-  // virtual instant — each Issue rewinds before the next one runs).
+  // Booking pass, in pick order: every issue started at this same
+  // virtual instant, and failed speculative work still occupied the
+  // channel while it tried.
   const Micros start = clock_->Now();
   for (size_t i = 0; i < picked.size(); ++i) {
     issued_->Increment();

@@ -84,10 +84,11 @@ struct PrefetchOptions {
 /// ## Time model
 ///
 /// Everything runs on one SimClock, so a background transfer would
-/// normally stall the foreground. Instead the queue runs each speculative
-/// work item inline, measures its cost, rewinds the clock to the start,
-/// and books the cost on a serialized background channel: entry i is
-/// ready at `max(issue_time, channel_free_time) + cost`. A consumer that
+/// normally stall the foreground. Instead each Pump stages its picks as
+/// one runtime::RunEpoch whose tasks measure every work item's cost and
+/// rewind their frame, then books the costs on a serialized background
+/// channel: entry i is ready at
+/// `max(issue_time, channel_free_time) + cost`. A consumer that
 /// arrives after `ready_at` gets a free hit; one that arrives early waits
 /// only the residual (a partial hit). The foreground clock only ever
 /// advances by time the user would genuinely have waited.
@@ -225,13 +226,13 @@ class PrefetchQueue {
   /// (for a sharded store, 1 + the serving shard; 0 = unknown).
   using AffinityFn = std::function<uint64_t(uint64_t object_id)>;
 
-  /// Attaches a task pool (borrowed; null restores serial pumping).
-  /// Pump then stages this pump's picks as one epoch: entries of
-  /// different affinity groups run concurrently on real cores, entries
-  /// of one group (one shard's arm) — and every entry when `affinity`
-  /// is null or answers 0 — stay sequential. Pick order, virtual-time
-  /// booking on the background channel, and every prefetch.* metric
-  /// are identical to the serial pump.
+  /// Attaches a task pool (borrowed; null stages picks inline, in pick
+  /// order, and ignores `affinity`). With a pool, entries of different
+  /// affinity groups stage concurrently on real cores, entries of one
+  /// group (one shard's arm) — and every entry when `affinity` is null
+  /// or answers 0 — stay sequential. Pick order, virtual-time booking on
+  /// the background channel, and every prefetch.* metric are identical
+  /// either way.
   void SetTaskPool(runtime::TaskPool* pool, AffinityFn affinity = nullptr);
 
   /// A BackoffSleeper that spends retry backoff windows pumping this
@@ -301,13 +302,10 @@ class PrefetchQueue {
   void Enqueue(const PrefetchKey& key, int distance, PageWork work,
                uint64_t affinity_object, uint64_t bytes = 0);
 
-  /// Runs one entry's work on the background channel; the entry turns
-  /// ready, or is erased when the work fails.
-  void Issue(EntryRef entry);
-
-  /// Stages `picked` (in pick order) as one pool epoch grouped by
-  /// affinity, then books costs and outcomes serially in pick order.
-  void IssuePooled(const std::vector<EntryRef>& picked);
+  /// Stages `picked` (in pick order) as one epoch grouped by affinity,
+  /// then books costs on the background channel in pick order: each
+  /// entry turns ready, or is erased when its work failed.
+  void Issue(const std::vector<EntryRef>& picked);
 
   /// Moves a queued entry to ready at `ready_at`.
   void MarkReady(EntryRef entry, Micros ready_at);
@@ -347,8 +345,8 @@ class PrefetchQueue {
   uint64_t next_seq_ = 0;
   Micros bg_free_at_ = 0;  ///< Background channel horizon.
   bool pumping_ = false;   ///< Reentrancy guard.
-  runtime::TaskPool* pool_ = nullptr;  ///< Borrowed; null pumps serially.
-  AffinityFn affinity_;                ///< Null: serialize pooled picks.
+  runtime::TaskPool* pool_ = nullptr;  ///< Borrowed; null pumps inline.
+  AffinityFn affinity_;                ///< Null: one group, pick order.
 
   obs::Counter* enqueued_;  // Owned by the registry.
   obs::Counter* issued_;

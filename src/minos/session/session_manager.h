@@ -121,7 +121,7 @@ struct SessionOptions {
 ///     in a private clock frame, so concurrent waits overlap).
 ///  2. Staging: events that missed prefetch stage their page bytes in
 ///     the foreground, grouped by shard affinity — groups run as one
-///     TaskPool epoch (or inline frames without a pool), so different
+///     runtime::RunEpoch (inline frames without a pool), so different
 ///     shards overlap while one shard's arm serializes. Searches,
 ///     appends and closes run serially in a "front-end" frame.
 ///  3. Serial post-pass, in submission order: book per-event latency,
@@ -159,8 +159,9 @@ class SessionManager {
   /// the store underneath, so one session is one connected span tree.
   void SetTracer(obs::Tracer* tracer);
 
-  /// Attaches a task pool (borrowed; null restores serial epochs) to
-  /// the manager, the store and the prefetch queue.
+  /// Attaches a task pool (borrowed; null runs every epoch inline on
+  /// the calling thread) to the manager, the store and the prefetch
+  /// queue.
   void SetTaskPool(runtime::TaskPool* pool);
 
   void SetAppendHandler(AppendHandler handler);

@@ -532,8 +532,8 @@ struct StormResult {
 };
 
 /// A fixed mixed-session storm against a fresh three-shard fabric on a
-/// `workers`-thread pool. Every field must be bit-identical across
-/// worker counts.
+/// `workers`-thread pool (no pool when `workers` is 0). Every field must
+/// be bit-identical across worker counts, and with no pool at all.
 StormResult RunStorm(int workers) {
   SessionHarness h;
   SessionOptions options;
@@ -544,8 +544,11 @@ StormResult RunStorm(int workers) {
   for (ObjectId id = 1; id <= 12; ++id) {
     EXPECT_TRUE(h.router->Store(PagedObject(id, 10)).ok());
   }
-  runtime::TaskPool pool(&h.clock, workers);
-  h.manager->SetTaskPool(&pool);
+  std::unique_ptr<runtime::TaskPool> pool;
+  if (workers > 0) {
+    pool = std::make_unique<runtime::TaskPool>(&h.clock, workers);
+    h.manager->SetTaskPool(pool.get());
+  }
 
   std::vector<SessionId> ids;
   for (int i = 0; i < 16; ++i) {
@@ -601,7 +604,7 @@ TEST(SessionManagerTest, StormIsBitIdenticalAcrossWorkerCounts) {
   const StormResult base = RunStorm(1);
   ASSERT_TRUE(base.counters.count("session.reaped_total") > 0);
   ASSERT_TRUE(base.counters.count("session.admission_queued_total") > 0);
-  for (int workers : {2, 4}) {
+  for (int workers : {0, 2, 4}) {
     const StormResult run = RunStorm(workers);
     EXPECT_EQ(run.elapsed, base.elapsed) << workers << " workers";
     EXPECT_EQ(run.digest, base.digest) << workers << " workers";

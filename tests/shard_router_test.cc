@@ -11,9 +11,13 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "minos/core/visual_browser.h"
+#include "minos/obs/trace.h"
+#include "minos/runtime/task_pool.h"
 #include "minos/server/workstation.h"
 #include "minos/storage/request_scheduler.h"
 #include "minos/text/formatter.h"
@@ -271,6 +275,124 @@ TEST_F(ShardRouterTest, WholeChainLossDegradesInsteadOfCrashing) {
   auto cards = router_->GatherCards({"unreachable"});
   ASSERT_TRUE(cards.ok());
   EXPECT_TRUE(cards->empty());
+}
+
+// --- Pool parity -------------------------------------------------------
+
+/// Everything a scatter sequence lets a caller observe.
+struct ScatterRun {
+  std::vector<std::vector<std::pair<ObjectId, double>>> ranked;
+  std::vector<std::vector<ObjectId>> matched;
+  std::vector<std::vector<std::tuple<ObjectId, uint64_t, double, uint64_t>>>
+      cards;
+  Micros clock = 0;
+  std::vector<std::pair<std::string, int64_t>> shard_counters;
+  std::vector<std::tuple<std::string, int64_t, double, double, double>>
+      shard_histograms;
+  std::string trace;
+};
+
+/// Runs a fixed ranked/boolean/card scatter sequence over a fault-free
+/// 4-shard fabric, with no pool (`workers` 0) or a pool of `workers`.
+ScatterRun RunScatterSequence(int workers) {
+  SimClock clock;
+  std::vector<std::unique_ptr<ShardStack>> stacks;
+  std::vector<ObjectServer*> servers;
+  for (int i = 0; i < 4; ++i) {
+    stacks.push_back(std::make_unique<ShardStack>(&clock));
+    servers.push_back(&stacks.back()->server);
+  }
+  obs::MetricsRegistry registry;
+  ShardRouterOptions options;
+  options.registry = &registry;
+  ShardRouter router(servers, &clock, HashPlacement(), options);
+  obs::Tracer tracer(&clock);
+  router.SetTracer(&tracer);
+  std::unique_ptr<runtime::TaskPool> pool;
+  if (workers > 0) {
+    pool = std::make_unique<runtime::TaskPool>(&clock, workers);
+    pool->SetTracer(&tracer);
+    router.SetTaskPool(pool.get());
+  }
+
+  for (ObjectId id = 1; id <= 24; ++id) {
+    MultimediaObject obj(id);
+    std::string body = "common scatter body";
+    for (ObjectId k = 0; k < id % 5; ++k) body += " alpha";
+    if (id % 3 == 0) body += " beta gamma";
+    text::MarkupParser parser;
+    auto doc = parser.Parse(".PP\n" + body + "\n");
+    EXPECT_TRUE(doc.ok());
+    EXPECT_TRUE(obj.SetTextPart(std::move(doc).value()).ok());
+    VisualPageSpec page;
+    page.text_page = 1;
+    obj.descriptor().pages.push_back(page);
+    EXPECT_TRUE(obj.Archive().ok());
+    EXPECT_TRUE(router.Store(obj).ok());
+  }
+
+  ScatterRun run;
+  auto note_ranked = [&](const std::vector<query::ScoredHit>& hits) {
+    run.ranked.emplace_back();
+    for (const query::ScoredHit& hit : hits) {
+      run.ranked.back().emplace_back(hit.id, hit.score);
+    }
+  };
+  auto note_cards = [&](const StatusOr<std::vector<MiniatureCard>>& cards) {
+    ASSERT_TRUE(cards.ok());
+    run.cards.emplace_back();
+    for (const MiniatureCard& card : *cards) {
+      run.cards.back().emplace_back(card.id, card.byte_size, card.score,
+                                    card.thumb.Digest());
+    }
+  };
+  note_ranked(router.QueryRanked({"alpha"}, 5));
+  note_ranked(router.QueryRanked({"alpha", "beta"}, 8,
+                                 query::QueryMode::kDisjunctive));
+  run.matched.push_back(router.QueryAll({"common"}));
+  run.matched.push_back(router.QueryAll({"beta", "gamma"}));
+  note_cards(router.GatherCards({"beta"}));
+  note_cards(router.GatherCardsRanked({"alpha", "gamma"}, 6));
+  note_cards(router.GatherCards({"common"}));
+
+  run.clock = clock.Now();
+  const obs::MetricsSnapshot snapshot = registry.Snapshot();
+  for (const auto& [name, value] : snapshot.counters) {
+    if (name.rfind("router.shard", 0) == 0) {
+      run.shard_counters.emplace_back(name, value);
+    }
+  }
+  for (const obs::HistogramSummary& h : snapshot.histograms) {
+    if (h.name.rfind("router.shard", 0) == 0) {
+      run.shard_histograms.emplace_back(h.name, h.count, h.sum, h.max,
+                                        h.p99);
+    }
+  }
+  run.trace = tracer.ToJson();
+  return run;
+}
+
+TEST(ShardRouterPoolTest, ScattersMatchWithAndWithoutAPool) {
+  const ScatterRun base = RunScatterSequence(0);
+  ASSERT_EQ(base.ranked.size(), 2u);
+  EXPECT_FALSE(base.ranked[0].empty());
+  EXPECT_FALSE(base.matched[0].empty());
+  EXPECT_FALSE(base.cards[2].empty());
+  EXPECT_GT(base.clock, 0);
+  EXPECT_FALSE(base.shard_counters.empty());
+  EXPECT_FALSE(base.shard_histograms.empty());
+  for (int workers : {1, 2, 4}) {
+    const ScatterRun run = RunScatterSequence(workers);
+    EXPECT_EQ(run.ranked, base.ranked) << workers << " workers";
+    EXPECT_EQ(run.matched, base.matched) << workers << " workers";
+    EXPECT_EQ(run.cards, base.cards) << workers << " workers";
+    EXPECT_EQ(run.clock, base.clock) << workers << " workers";
+    EXPECT_EQ(run.shard_counters, base.shard_counters)
+        << workers << " workers";
+    EXPECT_EQ(run.shard_histograms, base.shard_histograms)
+        << workers << " workers";
+    EXPECT_EQ(run.trace, base.trace) << workers << " workers";
+  }
 }
 
 // --- Scheduler lanes ---------------------------------------------------

@@ -27,65 +27,88 @@
 namespace minos::runtime {
 namespace {
 
+/// A pool of `workers` threads over `clock`, or null for 0. The epoch
+/// algebra tests run runtime::RunEpoch both ways: a null pool must give
+/// the same costs and clock as a real one.
+std::unique_ptr<TaskPool> PoolOrNull(SimClock* clock, int workers) {
+  return workers > 0 ? std::make_unique<TaskPool>(clock, workers) : nullptr;
+}
+
 TEST(TaskPoolTest, ParallelEpochAdvancesByMaxCost) {
-  SimClock clock(1000);
-  TaskPool pool(&clock, 3);
-  std::vector<TaskPool::Task> tasks;
-  for (Micros cost : {30, 70, 10}) {
-    tasks.push_back([&clock, cost] { clock.Sleep(cost); });
+  for (int workers : {0, 3}) {
+    SCOPED_TRACE(workers);
+    SimClock clock(1000);
+    std::unique_ptr<TaskPool> pool = PoolOrNull(&clock, workers);
+    std::vector<TaskPool::Task> tasks;
+    for (Micros cost : {30, 70, 10}) {
+      tasks.push_back([&clock, cost] { clock.Sleep(cost); });
+    }
+    const std::vector<Micros> costs =
+        RunEpoch(pool.get(), &clock, std::move(tasks));
+    ASSERT_EQ(costs.size(), 3u);
+    EXPECT_EQ(costs[0], 30);
+    EXPECT_EQ(costs[1], 70);
+    EXPECT_EQ(costs[2], 10);
+    EXPECT_EQ(clock.Now(), 1070);  // Base + the slowest branch.
   }
-  const std::vector<Micros> costs = pool.RunEpoch(std::move(tasks));
-  ASSERT_EQ(costs.size(), 3u);
-  EXPECT_EQ(costs[0], 30);
-  EXPECT_EQ(costs[1], 70);
-  EXPECT_EQ(costs[2], 10);
-  EXPECT_EQ(clock.Now(), 1070);  // Base + the slowest branch.
 }
 
 TEST(TaskPoolTest, SerialEpochSumsCosts) {
-  SimClock clock;
-  TaskPool pool(&clock, 2);
-  std::vector<TaskPool::Task> tasks;
-  for (Micros cost : {5, 11, 7}) {
-    tasks.push_back([&clock, cost] { clock.Sleep(cost); });
+  for (int workers : {0, 2}) {
+    SCOPED_TRACE(workers);
+    SimClock clock;
+    std::unique_ptr<TaskPool> pool = PoolOrNull(&clock, workers);
+    std::vector<TaskPool::Task> tasks;
+    for (Micros cost : {5, 11, 7}) {
+      tasks.push_back([&clock, cost] { clock.Sleep(cost); });
+    }
+    RunEpoch(pool.get(), &clock, std::move(tasks),
+             TaskPool::TimeModel::kSerial);
+    EXPECT_EQ(clock.Now(), 23);
   }
-  pool.RunEpoch(std::move(tasks), TaskPool::TimeModel::kSerial);
-  EXPECT_EQ(clock.Now(), 23);
 }
 
 TEST(TaskPoolTest, TaskFramesIsolateAndRewindsClampToFrameStart) {
-  SimClock clock(500);
-  TaskPool pool(&clock, 2);
-  std::vector<TaskPool::Task> tasks;
-  std::vector<Micros> observed(2, 0);
-  tasks.push_back([&clock, &observed] {
-    clock.Sleep(40);
-    clock.RewindTo(0);  // Clamps to the frame start, not absolute zero.
-    observed[0] = clock.Now();
-    clock.Sleep(15);
-  });
-  tasks.push_back([&clock, &observed] {
-    observed[1] = clock.Now();  // Frames start at the epoch base.
-    clock.Sleep(60);
-  });
-  const std::vector<Micros> costs = pool.RunEpoch(std::move(tasks));
-  EXPECT_EQ(observed[0], 500);
-  EXPECT_EQ(observed[1], 500);
-  EXPECT_EQ(costs[0], 15);
-  EXPECT_EQ(costs[1], 60);
-  EXPECT_EQ(clock.Now(), 560);
+  for (int workers : {0, 2}) {
+    SCOPED_TRACE(workers);
+    SimClock clock(500);
+    std::unique_ptr<TaskPool> pool = PoolOrNull(&clock, workers);
+    std::vector<TaskPool::Task> tasks;
+    std::vector<Micros> observed(2, 0);
+    tasks.push_back([&clock, &observed] {
+      clock.Sleep(40);
+      clock.RewindTo(0);  // Clamps to the frame start, not absolute zero.
+      observed[0] = clock.Now();
+      clock.Sleep(15);
+    });
+    tasks.push_back([&clock, &observed] {
+      observed[1] = clock.Now();  // Frames start at the epoch base.
+      clock.Sleep(60);
+    });
+    const std::vector<Micros> costs =
+        RunEpoch(pool.get(), &clock, std::move(tasks));
+    EXPECT_EQ(observed[0], 500);
+    EXPECT_EQ(observed[1], 500);
+    EXPECT_EQ(costs[0], 15);
+    EXPECT_EQ(costs[1], 60);
+    EXPECT_EQ(clock.Now(), 560);
+  }
 }
 
 TEST(TaskPoolTest, InTaskOnlyInsideTasks) {
-  SimClock clock;
-  TaskPool pool(&clock, 2);
-  EXPECT_FALSE(TaskPool::InTask());
-  bool inside = false;
-  std::vector<TaskPool::Task> tasks;
-  tasks.push_back([&inside] { inside = TaskPool::InTask(); });
-  pool.RunEpoch(std::move(tasks));
-  EXPECT_TRUE(inside);
-  EXPECT_FALSE(TaskPool::InTask());
+  for (int workers : {0, 2}) {
+    SCOPED_TRACE(workers);
+    SimClock clock;
+    std::unique_ptr<TaskPool> pool = PoolOrNull(&clock, workers);
+    EXPECT_FALSE(TaskPool::InTask());
+    bool inside = false;
+    std::vector<TaskPool::Task> tasks;
+    tasks.push_back([&inside] { inside = TaskPool::InTask(); });
+    RunEpoch(pool.get(), &clock, std::move(tasks));
+    // Only pool tasks are "in a task"; inline tasks run as the caller.
+    EXPECT_EQ(inside, pool != nullptr);
+    EXPECT_FALSE(TaskPool::InTask());
+  }
 }
 
 TEST(TaskPoolTest, NestedEpochRunsInlineWithSameAlgebra) {
@@ -217,33 +240,37 @@ TEST(TaskPoolTest, BackToBackEpochsNeverClaimEachOthersTasks) {
 }
 
 TEST(TaskPoolTest, LowestIndexExceptionPropagatesAndPoolSurvives) {
-  SimClock clock;
-  TaskPool pool(&clock, 4);
-  std::vector<TaskPool::Task> tasks;
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 8; ++i) {
-    tasks.push_back([&clock, &ran, i] {
-      ran.fetch_add(1, std::memory_order_relaxed);
-      clock.Sleep(10 + i);
-      if (i == 5) throw std::runtime_error("task five");
-      if (i == 2) throw std::runtime_error("task two");
-    });
+  for (int workers : {0, 4}) {
+    SCOPED_TRACE(workers);
+    SimClock clock;
+    std::unique_ptr<TaskPool> pool = PoolOrNull(&clock, workers);
+    std::vector<TaskPool::Task> tasks;
+    std::atomic<int> ran{0};
+    for (int i = 0; i < 8; ++i) {
+      tasks.push_back([&clock, &ran, i] {
+        ran.fetch_add(1, std::memory_order_relaxed);
+        clock.Sleep(10 + i);
+        if (i == 5) throw std::runtime_error("task five");
+        if (i == 2) throw std::runtime_error("task two");
+      });
+    }
+    try {
+      RunEpoch(pool.get(), &clock, std::move(tasks));
+      FAIL() << "epoch with throwing tasks did not throw";
+    } catch (const std::runtime_error& err) {
+      EXPECT_STREQ(err.what(), "task two");  // Lowest index wins.
+    }
+    // Every task still ran and the clock still advanced by the slowest.
+    EXPECT_EQ(ran.load(), 8);
+    EXPECT_EQ(clock.Now(), 17);
+    // The pool is reusable after a throwing epoch.
+    std::vector<TaskPool::Task> again;
+    again.push_back([&clock] { clock.Sleep(3); });
+    const std::vector<Micros> costs =
+        RunEpoch(pool.get(), &clock, std::move(again));
+    EXPECT_EQ(costs[0], 3);
+    EXPECT_EQ(clock.Now(), 20);
   }
-  try {
-    pool.RunEpoch(std::move(tasks));
-    FAIL() << "epoch with throwing tasks did not throw";
-  } catch (const std::runtime_error& err) {
-    EXPECT_STREQ(err.what(), "task two");  // Lowest index wins.
-  }
-  // Every task still ran and the clock still advanced by the slowest.
-  EXPECT_EQ(ran.load(), 8);
-  EXPECT_EQ(clock.Now(), 17);
-  // The pool is reusable after a throwing epoch.
-  std::vector<TaskPool::Task> again;
-  again.push_back([&clock] { clock.Sleep(3); });
-  const std::vector<Micros> costs = pool.RunEpoch(std::move(again));
-  EXPECT_EQ(costs[0], 3);
-  EXPECT_EQ(clock.Now(), 20);
 }
 
 object::MultimediaObject TextObject(storage::ObjectId id,
