@@ -28,7 +28,6 @@
 #include "minos/runtime/task_pool.h"
 #include "minos/server/shard_router.h"
 #include "minos/text/markup.h"
-#include "minos/util/random.h"
 #include "scenario_lib.h"
 
 namespace minos {
@@ -391,20 +390,10 @@ int Run() {
   // scoring cost grows sublinearly in catalog size.
   {
     auto build_catalog = [](size_t docs, query::ScoredIndex* index) {
-      Random rng(1986);
-      constexpr size_t kVocab = 800;
-      for (ObjectId id = 1; id <= docs; ++id) {
-        query::AppendedContent content;
-        const size_t words = 6 + rng.Uniform(18);
-        for (size_t w = 0; w < words; ++w) {
-          // Squared-uniform skew: low word indexes are ubiquitous, the
-          // tail is rare — the shape that gives idf and the max-score
-          // bounds their spread.
-          const size_t pick =
-              (rng.Uniform(kVocab) * rng.Uniform(kVocab)) / kVocab;
-          content.text += "w" + std::to_string(pick) + " ";
-        }
-        index->Append(id, content, 0.0);
+      const std::vector<query::AppendedContent> contents =
+          bench::ScaleCatalogContents(docs);
+      for (size_t i = 0; i < contents.size(); ++i) {
+        index->Append(static_cast<ObjectId>(i + 1), contents[i], 0.0);
       }
     };
     const query::QueryEngine pruned_engine(

@@ -5,11 +5,14 @@
 // performance experiments. Each builder constructs the multimedia object
 // a figure of the paper shows, from scratch, through the public API.
 
+#include <cstddef>
 #include <string>
+#include <vector>
 
 #include "minos/image/image.h"
 #include "minos/obs/trace.h"
 #include "minos/object/multimedia_object.h"
+#include "minos/query/scored_index.h"
 #include "minos/text/document.h"
 #include "minos/util/status.h"
 
@@ -64,6 +67,14 @@ RelevantObjectsScenario BuildRelevantObjectsScenario(storage::ObjectId id);
 /// tour using one base image plus overwrites with voice messages.
 object::MultimediaObject BuildProcessSimulationObject(storage::ObjectId id,
                                                       int steps);
+
+/// The catalog-scale corpus (`ranked_query` gate 6, the ScoredIndex
+/// micro-suite): the appended content of objects 1..`docs`, 6-23 words
+/// each over an 800-word vocabulary with a squared-uniform skew (low
+/// word indexes are ubiquitous, the tail is rare — the shape that gives
+/// idf and the max-score bounds their spread). One fixed seed stream,
+/// so a smaller catalog is a prefix of a larger one.
+std::vector<query::AppendedContent> ScaleCatalogContents(size_t docs);
 
 /// Parses `--workers N` (or `--workers=N`) from the command line and
 /// returns the value (default 1; the MINOS_WORKERS environment variable

@@ -61,7 +61,7 @@ struct Candidate {
 /// One query term that survived the probe pass, with its precomputed
 /// idf, posting list and max-score ceiling.
 struct ScoredTerm {
-  const ScoredIndex::PostingMap* list;
+  const PostingList* list;
   double idf;
   /// Upper bound on this term's BM25 contribution to ANY document:
   /// idf * f(max_tf) with f evaluated at the length norm of the term's
@@ -80,17 +80,17 @@ void AccumulateRange(const std::vector<ScoredTerm>& scored,
                      storage::ObjectId hi, bool bounded_hi,
                      std::map<storage::ObjectId, Candidate>* candidates) {
   for (const ScoredTerm& term : scored) {
-    auto it = term.list->lower_bound(lo);
-    const auto end =
-        bounded_hi ? term.list->lower_bound(hi) : term.list->end();
-    for (; it != end; ++it) {
-      const auto& [id, posting] = *it;
-      const double tf = posting.tf();
-      const double len = postings.DocLength(id);
+    const PostingList& list = *term.list;
+    const size_t begin = list.Seek(0, lo);
+    const size_t end = bounded_hi ? list.Seek(begin, hi) : list.size();
+    for (size_t i = begin; i < end; ++i) {
+      const Posting& posting = list[i];
+      const double tf = posting.weight.tf();
+      const double len = postings.SlotLength(posting.slot);
       const double norm =
           params.k1 * (1.0 - params.b +
                        (avg_len > 0 ? params.b * len / avg_len : 0.0));
-      Candidate& c = (*candidates)[id];
+      Candidate& c = (*candidates)[posting.id];
       c.score += term.idf * (tf * (params.k1 + 1.0)) / (tf + norm);
       ++c.terms_matched;
     }
@@ -145,16 +145,23 @@ MaxScoreShare MaxScoreRange(const std::vector<ScoredTerm>& scored,
   for (size_t j = 0; j < m; ++j) {
     prefix_ub[j + 1] = prefix_ub[j] + scored[by_ub[j]].upper_bound;
   }
+  // Per-term cursors over the partition's slice [pos, end). Candidates
+  // arrive in ascending id order, so cursors only ever move forward.
   struct Cursor {
-    ScoredIndex::PostingMap::const_iterator it;
-    ScoredIndex::PostingMap::const_iterator end;
+    size_t pos;
+    size_t end;
   };
   std::vector<Cursor> cursors(m);
   for (size_t t = 0; t < m; ++t) {
-    cursors[t].it = scored[t].list->lower_bound(lo);
+    const PostingList& list = *scored[t].list;
+    cursors[t].pos = list.Seek(0, lo);
     cursors[t].end =
-        bounded_hi ? scored[t].list->lower_bound(hi) : scored[t].list->end();
+        bounded_hi ? list.Seek(cursors[t].pos, hi) : list.size();
   }
+  auto at = [&](size_t t) -> const Posting& {
+    return (*scored[t].list)[cursors[t].pos];
+  };
+  auto live = [&](size_t t) { return cursors[t].pos < cursors[t].end; };
   size_t non_essential = 0;
   auto raise_boundary = [&] {
     if (share.heap.size() < k) return;
@@ -170,10 +177,9 @@ MaxScoreShare MaxScoreRange(const std::vector<ScoredTerm>& scored,
         std::numeric_limits<storage::ObjectId>::max();
     bool any = false;
     for (size_t j = non_essential; j < m; ++j) {
-      const Cursor& c = cursors[by_ub[j]];
-      if (c.it != c.end) {
+      if (live(by_ub[j])) {
         any = true;
-        next = std::min(next, c.it->first);
+        next = std::min(next, at(by_ub[j]).id);
       }
     }
     if (!any) break;
@@ -184,8 +190,7 @@ MaxScoreShare MaxScoreRange(const std::vector<ScoredTerm>& scored,
     double bound = prefix_ub[non_essential];
     size_t essential_here = 0;
     for (size_t j = non_essential; j < m; ++j) {
-      const Cursor& c = cursors[by_ub[j]];
-      if (c.it != c.end && c.it->first == next) {
+      if (live(by_ub[j]) && at(by_ub[j]).id == next) {
         bound += scored[by_ub[j]].upper_bound;
         ++essential_here;
       }
@@ -198,18 +203,25 @@ MaxScoreShare MaxScoreRange(const std::vector<ScoredTerm>& scored,
       share.visited += essential_here;
     } else {
       // Full score, all terms, original probe order: bit-identical
-      // accumulation to the exhaustive pass.
+      // accumulation to the exhaustive pass. Each cursor gallops forward
+      // to `next`; the length norm is computed once, at the first match.
       double score = 0;
+      double norm = 0;
+      bool normed = false;
       for (size_t t = 0; t < m; ++t) {
-        const auto found = scored[t].list->find(next);
-        if (found == scored[t].list->end()) continue;
+        if (!live(t)) continue;
+        cursors[t].pos = scored[t].list->Seek(cursors[t].pos, next);
+        if (!live(t) || at(t).id != next) continue;
         ++share.visited;
-        const double tf = found->second.tf();
-        const double len = postings.DocLength(next);
-        const double norm =
-            params.k1 *
-            (1.0 - params.b +
-             (avg_len > 0 ? params.b * len / avg_len : 0.0));
+        const Posting& posting = at(t);
+        if (!normed) {
+          normed = true;
+          const double len = postings.SlotLength(posting.slot);
+          norm = params.k1 *
+                 (1.0 - params.b +
+                  (avg_len > 0 ? params.b * len / avg_len : 0.0));
+        }
+        const double tf = posting.weight.tf();
         score += scored[t].idf * (tf * (params.k1 + 1.0)) / (tf + norm);
       }
       const ScoredHit hit{next, score};
@@ -226,8 +238,9 @@ MaxScoreShare MaxScoreRange(const std::vector<ScoredTerm>& scored,
       }
     }
     for (size_t j = non_essential; j < m; ++j) {
-      Cursor& c = cursors[by_ub[j]];
-      if (c.it != c.end && c.it->first == next) ++c.it;
+      if (live(by_ub[j]) && at(by_ub[j]).id == next) {
+        ++cursors[by_ub[j]].pos;
+      }
     }
   }
   return share;
@@ -267,14 +280,15 @@ RankedQuery QueryEngine::TopK(const ScoredIndex& postings,
   const double avg_len = stats.AvgLength();
   for (const std::string& term : terms) {
     const double df = static_cast<double>(global.DocFreq(term));
-    const ScoredIndex::PostingMap& list = postings.Postings(term);
-    if (df == 0 || list.empty()) {
+    const TermRecord* record = postings.FindTerm(term);
+    if (df == 0 || record == nullptr || record->postings.empty()) {
       if (mode == QueryMode::kConjunctive) {
         aborted = true;
         break;
       }
       continue;
     }
+    const PostingList& list = record->postings;
     ++result.terms_scored;
     result.postings_scanned += list.size();
     const double idf = std::log(1.0 + (n - df + 0.5) / (df + 0.5));
@@ -283,8 +297,8 @@ RankedQuery QueryEngine::TopK(const ScoredIndex& postings,
     // largest posting tf at the shortest holder's norm bounds every
     // posting of the term (a doc can't be shorter than the index's
     // per-term length floor).
-    const double max_tf = postings.MaxTf(term);
-    const double min_len = postings.MinDocLen(term);
+    const double max_tf = record->max_tf;
+    const double min_len = record->min_len;
     const double bound_norm =
         params_.k1 * (1.0 - params_.b +
                       (avg_len > 0 ? params_.b * min_len / avg_len : 0.0));

@@ -1,6 +1,7 @@
 #include "minos/query/scored_index.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
 #include <utility>
 
@@ -8,43 +9,125 @@
 
 namespace minos::query {
 
+namespace {
+
+/// First entry of an id-sorted array whose id is >= `id`.
+template <typename Docs>
+auto LowerBoundId(Docs& docs, storage::ObjectId id) {
+  return std::lower_bound(
+      docs.begin(), docs.end(), id,
+      [](const auto& entry, storage::ObjectId want) {
+        return entry.id < want;
+      });
+}
+
+}  // namespace
+
 double VoiceConfidence(const voice::RecognizerParams& profile) {
   const double confidence =
       profile.hit_rate * (1.0 - profile.false_alarm_rate);
   return std::clamp(confidence, 0.0, 1.0);
 }
 
-void ScoredIndex::AddTerm(storage::ObjectId id, const std::string& term,
-                          double text_weight, double voice_weight,
+size_t PostingList::Seek(size_t from, storage::ObjectId target) const {
+  const size_t n = entries_.size();
+  if (from >= n || entries_[from].id >= target) return from;
+  // Gallop: entries_[lo].id < target throughout; widen the step until
+  // it overshoots or runs off the end, then binary search (lo, hi].
+  size_t lo = from;
+  size_t step = 1;
+  size_t hi = from + step;
+  while (hi < n && entries_[hi].id < target) {
+    lo = hi;
+    step *= 2;
+    hi = lo + step;
+  }
+  hi = std::min(hi, n);
+  const auto it = std::lower_bound(
+      entries_.begin() + static_cast<std::ptrdiff_t>(lo + 1),
+      entries_.begin() + static_cast<std::ptrdiff_t>(hi), target,
+      [](const Posting& p, storage::ObjectId want) { return p.id < want; });
+  return static_cast<size_t>(it - entries_.begin());
+}
+
+const TermPosting* PostingList::Find(storage::ObjectId id) const {
+  const size_t i = Seek(0, id);
+  return i < entries_.size() && entries_[i].id == id ? &entries_[i].weight
+                                                     : nullptr;
+}
+
+uint32_t ScoredIndex::EnsureDoc(storage::ObjectId id, bool* created) {
+  const auto it = LowerBoundId(docs_, id);
+  const bool found = it != docs_.end() && it->id == id;
+  if (created != nullptr) *created = !found;
+  if (found) return it->slot;
+  uint32_t slot = static_cast<uint32_t>(lengths_.size());
+  if (free_slots_.empty()) {
+    lengths_.push_back(0);
+    held_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    lengths_[slot] = 0;
+  }
+  docs_.insert(it, DocRef{id, slot});
+  ++stats_.doc_count;
+  return slot;
+}
+
+void ScoredIndex::AddTerm(storage::ObjectId id, uint32_t slot,
+                          const std::string& term, double text_weight,
+                          double voice_weight,
                           std::vector<std::string>* new_terms) {
   if (term.empty()) return;
-  if (!stats_only_) {
-    TermPosting& posting = postings_[term][id];
-    posting.text_tf += text_weight;
-    posting.voice_tf += voice_weight;
-    double& max_tf = max_tf_[term];
-    max_tf = std::max(max_tf, posting.tf());
-  }
-  std::vector<std::string>& terms = doc_terms_[id];
-  if (std::find(terms.begin(), terms.end(), term) == terms.end()) {
-    terms.push_back(term);
-    ++doc_freq_[term];
+  TermEntry& entry = *terms_.try_emplace(term).first;
+  TermRecord& record = entry.second;
+  std::vector<TermEntry*>& held = held_[slot];
+  const bool new_holder =
+      std::find(held.begin(), held.end(), &entry) == held.end();
+  if (new_holder) {
+    held.push_back(&entry);
+    ++record.df;
     if (new_terms != nullptr) new_terms->push_back(term);
   }
-  lengths_[id] += text_weight + voice_weight;
+  if (!stats_only_) {
+    std::vector<Posting>& list = record.postings.entries_;
+    // Ids mostly arrive ascending, so the posting is usually the last
+    // one (or belongs after it).
+    size_t at = list.size();
+    if (list.empty() || list.back().id < id) {
+      list.push_back(Posting{id, slot, {}});
+    } else if (list.back().id == id) {
+      at = list.size() - 1;
+    } else {
+      at = record.postings.Seek(0, id);
+      if (new_holder) {
+        list.insert(list.begin() + static_cast<std::ptrdiff_t>(at),
+                    Posting{id, slot, {}});
+      }
+    }
+    TermPosting& posting = list[at].weight;
+    posting.text_tf += text_weight;
+    posting.voice_tf += voice_weight;
+    record.max_tf = std::max(record.max_tf, posting.tf());
+  }
+  lengths_[slot] += text_weight + voice_weight;
   stats_.total_length += text_weight + voice_weight;
 }
 
-void ScoredIndex::FloorHolderLengths(storage::ObjectId id,
-                                     const std::vector<std::string>& terms) {
+void ScoredIndex::FloorHolderLengths(uint32_t slot, size_t first_held) {
   if (stats_only_) return;
   // Snapshot the document's length as of the end of this indexing
   // operation. The document can only grow from here (Append never
   // shrinks), so the floor stays valid without ever being revisited.
-  const double len = lengths_[id];
-  for (const std::string& term : terms) {
-    auto [it, inserted] = min_len_.try_emplace(term, len);
-    if (!inserted) it->second = std::min(it->second, len);
+  const double len = lengths_[slot];
+  const std::vector<TermEntry*>& held = held_[slot];
+  for (size_t i = first_held; i < held.size(); ++i) {
+    TermRecord& record = held[i]->second;
+    // A sole holder sets the floor; later holders can only lower it.
+    record.min_len = record.postings.size() == 1
+                         ? len
+                         : std::min(record.min_len, len);
   }
 }
 
@@ -53,25 +136,23 @@ void ScoredIndex::Add(const object::MultimediaObject& obj,
   const storage::ObjectId id = obj.id();
   Remove(id);
   version_.fetch_add(1, std::memory_order_acq_rel);
-  ++stats_.doc_count;
-  lengths_[id] = 0;
-  doc_terms_[id] = {};
+  const uint32_t slot = EnsureDoc(id);
   if (obj.has_text()) {
     for (const std::string& w : SplitWords(obj.text_part().contents())) {
-      AddTerm(id, FoldWord(w), 1.0, 0.0);
+      AddTerm(id, slot, FoldWord(w), 1.0, 0.0);
     }
   }
   for (const auto& [name, value] : obj.attributes()) {
     for (const std::string& w : SplitWords(value)) {
-      AddTerm(id, FoldWord(w), 1.0, 0.0);
+      AddTerm(id, slot, FoldWord(w), 1.0, 0.0);
     }
   }
   if (obj.has_voice()) {
     for (const voice::WordAlignment& w : obj.voice_part().track().words) {
-      AddTerm(id, FoldWord(w.word), 0.0, voice_confidence);
+      AddTerm(id, slot, FoldWord(w.word), 0.0, voice_confidence);
     }
   }
-  FloorHolderLengths(id, doc_terms_[id]);
+  FloorHolderLengths(slot, 0);
 }
 
 IndexDelta ScoredIndex::Append(storage::ObjectId id,
@@ -80,108 +161,102 @@ IndexDelta ScoredIndex::Append(storage::ObjectId id,
   IndexDelta delta;
   delta.id = id;
   version_.fetch_add(1, std::memory_order_acq_rel);
-  if (lengths_.find(id) == lengths_.end()) {
-    ++stats_.doc_count;
-    lengths_[id] = 0;
-    doc_terms_[id];
-    delta.new_doc = true;
-  }
-  const double length_before = lengths_[id];
+  const uint32_t slot = EnsureDoc(id, &delta.new_doc);
+  const double length_before = lengths_[slot];
+  const size_t held_before = held_[slot].size();
   for (const std::string& w : SplitWords(content.text)) {
-    AddTerm(id, FoldWord(w), 1.0, 0.0, &delta.new_terms);
+    AddTerm(id, slot, FoldWord(w), 1.0, 0.0, &delta.new_terms);
   }
   for (const voice::WordAlignment& w : content.voice_words) {
-    AddTerm(id, FoldWord(w.word), 0.0, voice_confidence, &delta.new_terms);
+    AddTerm(id, slot, FoldWord(w.word), 0.0, voice_confidence,
+            &delta.new_terms);
   }
-  delta.length_delta = lengths_[id] - length_before;
+  delta.length_delta = lengths_[slot] - length_before;
   // Only terms this append made the document a NEW holder of can lower
   // a holder-length floor; for terms it already held, the floors stay
   // conservative as the document grows.
-  FloorHolderLengths(id, delta.new_terms);
+  FloorHolderLengths(slot, held_before);
   return delta;
 }
 
 void ScoredIndex::ApplyDelta(const IndexDelta& delta) {
   version_.fetch_add(1, std::memory_order_acq_rel);
-  if (lengths_.find(delta.id) == lengths_.end()) {
-    ++stats_.doc_count;
-    lengths_[delta.id] = 0;
-    doc_terms_[delta.id];
-  }
-  std::vector<std::string>& terms = doc_terms_[delta.id];
+  const uint32_t slot = EnsureDoc(delta.id);
+  std::vector<TermEntry*>& held = held_[slot];
   for (const std::string& term : delta.new_terms) {
-    ++doc_freq_[term];
-    terms.push_back(term);
+    TermEntry& entry = *terms_.try_emplace(term).first;
+    ++entry.second.df;
+    held.push_back(&entry);
   }
-  lengths_[delta.id] += delta.length_delta;
+  lengths_[slot] += delta.length_delta;
   stats_.total_length += delta.length_delta;
 }
 
 void ScoredIndex::Remove(storage::ObjectId id) {
-  auto terms_it = doc_terms_.find(id);
-  if (terms_it == doc_terms_.end()) return;
+  const auto doc = LowerBoundId(docs_, id);
+  if (doc == docs_.end() || doc->id != id) return;
   version_.fetch_add(1, std::memory_order_acq_rel);
-  for (const std::string& term : terms_it->second) {
-    auto df = doc_freq_.find(term);
-    if (df != doc_freq_.end() && --df->second == 0) doc_freq_.erase(df);
-    auto posting = postings_.find(term);
-    if (posting != postings_.end()) {
-      posting->second.erase(id);
-      if (posting->second.empty()) {
-        postings_.erase(posting);
-        max_tf_.erase(term);
-        min_len_.erase(term);
-      } else {
-        // The departing posting may have carried either bound:
-        // recompute over the survivors (rare path — only re-stores
-        // come here).
-        double max_tf = 0;
-        double min_len = std::numeric_limits<double>::max();
-        for (const auto& [rest_id, rest] : posting->second) {
-          max_tf = std::max(max_tf, rest.tf());
-          auto len = lengths_.find(rest_id);
-          min_len = std::min(
-              min_len, len != lengths_.end() ? len->second : 0.0);
-        }
-        max_tf_[term] = max_tf;
-        min_len_[term] = min_len;
+  const uint32_t slot = doc->slot;
+  for (TermEntry* entry : held_[slot]) {
+    TermRecord& record = entry->second;
+    std::vector<Posting>& list = record.postings.entries_;
+    const size_t at = record.postings.Seek(0, id);
+    if (at < list.size() && list[at].id == id) {
+      list.erase(list.begin() + static_cast<std::ptrdiff_t>(at));
+    }
+    if (--record.df == 0) {
+      terms_.erase(terms_.find(entry->first));
+    } else if (!list.empty()) {
+      // The departing posting may have carried either bound:
+      // recompute over the survivors (rare path — only re-stores
+      // come here).
+      double max_tf = 0;
+      double min_len = std::numeric_limits<double>::max();
+      for (const Posting& rest : list) {
+        max_tf = std::max(max_tf, rest.weight.tf());
+        min_len = std::min(min_len, lengths_[rest.slot]);
       }
+      record.max_tf = max_tf;
+      record.min_len = min_len;
     }
   }
-  auto length = lengths_.find(id);
-  if (length != lengths_.end()) {
-    stats_.total_length -= length->second;
-    lengths_.erase(length);
-  }
-  doc_terms_.erase(terms_it);
+  stats_.total_length -= lengths_[slot];
+  held_[slot].clear();
+  free_slots_.push_back(slot);
+  docs_.erase(doc);
   --stats_.doc_count;
 }
 
-const ScoredIndex::PostingMap& ScoredIndex::Postings(
-    std::string_view term) const {
-  static const PostingMap* empty = new PostingMap();
-  auto it = postings_.find(term);
-  return it == postings_.end() ? *empty : it->second;
+const TermRecord* ScoredIndex::FindTerm(std::string_view term) const {
+  auto it = terms_.find(term);
+  return it == terms_.end() ? nullptr : &it->second;
+}
+
+const PostingList& ScoredIndex::Postings(std::string_view term) const {
+  static const PostingList* empty = new PostingList();
+  const TermRecord* record = FindTerm(term);
+  return record == nullptr ? *empty : record->postings;
 }
 
 uint64_t ScoredIndex::DocFreq(std::string_view term) const {
-  auto it = doc_freq_.find(term);
-  return it == doc_freq_.end() ? 0 : it->second;
+  const TermRecord* record = FindTerm(term);
+  return record == nullptr ? 0 : record->df;
 }
 
 double ScoredIndex::MaxTf(std::string_view term) const {
-  auto it = max_tf_.find(term);
-  return it == max_tf_.end() ? 0.0 : it->second;
+  const TermRecord* record = FindTerm(term);
+  return record == nullptr ? 0.0 : record->max_tf;
 }
 
 double ScoredIndex::MinDocLen(std::string_view term) const {
-  auto it = min_len_.find(term);
-  return it == min_len_.end() ? 0.0 : it->second;
+  const TermRecord* record = FindTerm(term);
+  return record == nullptr || record->postings.empty() ? 0.0
+                                                       : record->min_len;
 }
 
 double ScoredIndex::DocLength(storage::ObjectId id) const {
-  auto it = lengths_.find(id);
-  return it == lengths_.end() ? 0.0 : it->second;
+  const auto it = LowerBoundId(docs_, id);
+  return it != docs_.end() && it->id == id ? lengths_[it->slot] : 0.0;
 }
 
 std::vector<storage::ObjectId> ScoredIndex::PartitionPoints(
@@ -189,22 +264,13 @@ std::vector<storage::ObjectId> ScoredIndex::PartitionPoints(
   std::vector<storage::ObjectId> points;
   if (parts <= 1) return points;
   points.reserve(parts - 1);
-  // lengths_ is ordered by id, so the k-th quantile key starts range k.
-  const size_t n = lengths_.size();
-  size_t next = 1;
-  size_t i = 0;
-  for (const auto& [id, length] : lengths_) {
-    while (next < parts && i >= next * n / parts) {
-      points.push_back(id);
-      ++next;
-    }
-    if (next >= parts) break;
-    ++i;
-  }
-  // Fewer documents than partitions: pad with past-the-end sentinels so
-  // callers always get parts - 1 boundaries (empty tail ranges).
-  while (points.size() < parts - 1) {
-    points.push_back(std::numeric_limits<storage::ObjectId>::max());
+  // docs_ is ordered by id, so the k-th quantile entry starts range k.
+  // An empty index pads with past-the-end sentinels so callers always
+  // get parts - 1 boundaries (empty tail ranges).
+  const size_t n = docs_.size();
+  for (size_t k = 1; k < parts; ++k) {
+    points.push_back(n == 0 ? std::numeric_limits<storage::ObjectId>::max()
+                            : docs_[k * n / parts].id);
   }
   return points;
 }

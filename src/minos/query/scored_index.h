@@ -3,9 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "minos/object/multimedia_object.h"
@@ -73,20 +74,74 @@ struct IndexDelta {
   }
 };
 
+/// One posting: a document, the stable slot its length lives in, and
+/// its weights for the term.
+struct Posting {
+  storage::ObjectId id = 0;
+  uint32_t slot = 0;
+  TermPosting weight;
+};
+
+/// A term's postings: one contiguous array sorted by ascending id. The
+/// scorer walks slices of it and moves per-term cursors forward with
+/// galloping seeks, never a tree walk.
+class PostingList {
+ public:
+  size_t size() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
+  const Posting& operator[](size_t i) const { return entries_[i]; }
+  std::vector<Posting>::const_iterator begin() const {
+    return entries_.begin();
+  }
+  std::vector<Posting>::const_iterator end() const { return entries_.end(); }
+
+  /// Index of the first posting at or after `from` whose id is >=
+  /// `target` (size() when none). Forward-only: a posting before `from`
+  /// is never examined, and when entries_[from] already qualifies the
+  /// answer is `from`. Gallops (1, 2, 4, ... steps) and then binary
+  /// searches the last step, so a seek costs O(log distance).
+  size_t Seek(size_t from, storage::ObjectId target) const;
+
+  /// The weights `id` holds for this term, or null.
+  const TermPosting* Find(storage::ObjectId id) const;
+
+ private:
+  friend class ScoredIndex;
+  std::vector<Posting> entries_;
+};
+
+/// Everything the index knows about one term, behind one lookup.
+struct TermRecord {
+  PostingList postings;  ///< Empty in a stats-only index.
+  uint64_t df = 0;       ///< Objects whose content holds the term.
+  /// Largest posting tf() — the max-score ceiling's tf. Maintained by
+  /// Add/Append, recomputed on Remove; 0 in a stats-only index.
+  double max_tf = 0;
+  /// Smallest holder length, snapshotted at posting time. Meaningful
+  /// only while `postings` is non-empty.
+  double min_len = 0;
+};
+
 /// The scored content index built at insertion time (§2: recognition and
 /// indexing happen when an object is stored, never at browsing time).
 /// It unifies the same two sources text::WordIndex already unifies —
 /// text-document words and recognized voice utterances — but keeps term
 /// frequencies and media provenance instead of bare positions, which is
-/// what turns boolean content queries into ranked ones.
+/// what turns boolean content queries into ranked ones. It is also the
+/// server's one content index: boolean Query/QueryAll read its posting
+/// ids.
+///
+/// Layout: one TermRecord per term; per-document lengths in a flat
+/// array addressed by a stable slot (freed slots are reused); and the
+/// live ids in one id-ordered array, which makes PartitionPoints
+/// O(parts). Every read is a pure const access, so pooled scoring reads
+/// the index lock-free.
 ///
 /// A stats-only index (the ShardRouter's) keeps document frequencies and
 /// lengths but no postings: enough to serve global BM25 statistics
 /// without duplicating every shard's posting lists.
 class ScoredIndex {
  public:
-  using PostingMap = std::map<storage::ObjectId, TermPosting>;
-
   explicit ScoredIndex(bool stats_only = false)
       : stats_only_(stats_only) {}
 
@@ -113,16 +168,18 @@ class ScoredIndex {
   /// would desynchronize df from the posting lists; use Append instead.
   void ApplyDelta(const IndexDelta& delta);
 
-  /// Postings of a folded term; empty map when absent or stats-only.
-  const PostingMap& Postings(std::string_view term) const;
+  /// The record of a folded term, or null when no object holds it.
+  const TermRecord* FindTerm(std::string_view term) const;
+
+  /// Postings of a folded term; empty when absent or stats-only.
+  const PostingList& Postings(std::string_view term) const;
 
   /// Number of objects whose content contains the folded term.
   uint64_t DocFreq(std::string_view term) const;
 
   /// Upper bound on any single posting's tf() for the folded term (0
-  /// when absent or stats-only). Maintained incrementally by
-  /// Add/Append, recomputed on Remove — what the max-score pruned
-  /// scorer turns into a per-term score ceiling.
+  /// when absent or stats-only) — what the max-score pruned scorer
+  /// turns into a per-term score ceiling.
   double MaxTf(std::string_view term) const;
 
   /// Lower bound on the weighted length of any document holding the
@@ -137,8 +194,12 @@ class ScoredIndex {
   /// Weighted content length of `id` (0 when unknown).
   double DocLength(storage::ObjectId id) const;
 
+  /// Weighted content length stored in `slot` — what a Posting's slot
+  /// addresses. The scorer's per-candidate read: one array index.
+  double SlotLength(uint32_t slot) const { return lengths_[slot]; }
+
   const CorpusStats& stats() const { return stats_; }
-  size_t vocabulary_size() const { return doc_freq_.size(); }
+  size_t vocabulary_size() const { return terms_.size(); }
   bool stats_only() const { return stats_only_; }
 
   /// Monotonic mutation counter, bumped by every Add/Remove that changes
@@ -151,38 +212,61 @@ class ScoredIndex {
 
   /// Splits the indexed object-id space into `parts` contiguous ranges
   /// of roughly equal document count and returns the `parts - 1` first
-  /// ids of ranges 1..parts-1. Partition k covers ids in
-  /// [points[k-1], points[k]) (with points[-1] = 0 and points[parts-1] =
-  /// +inf). A pure function of index content — never of thread count —
-  /// so partitioned scoring decomposes work identically on any pool.
+  /// ids of ranges 1..parts-1: point k is the (k·n/parts)-th live id.
+  /// Partition k covers ids in [points[k-1], points[k]) (with
+  /// points[-1] = 0 and points[parts-1] = +inf); an empty index pads
+  /// with past-the-end sentinels. A pure function of index content —
+  /// never of thread count — so partitioned scoring decomposes work
+  /// identically on any pool. O(parts): reads the id-ordered array.
   std::vector<storage::ObjectId> PartitionPoints(size_t parts) const;
 
  private:
-  /// Folds one term occurrence into `id`. When `new_terms` is non-null,
-  /// terms the object did not contain before are appended to it (the
-  /// delta an incremental Append reports).
-  void AddTerm(storage::ObjectId id, const std::string& term,
+  /// Transparent hashing, so string_view probes need no allocation.
+  struct TermHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view term) const {
+      return std::hash<std::string_view>()(term);
+    }
+  };
+  using TermMap = std::unordered_map<std::string, TermRecord, TermHash,
+                                     std::equal_to<>>;
+  /// A term's map entry. Node-based maps never move entries, so a
+  /// document's held-terms list can point at them.
+  using TermEntry = TermMap::value_type;
+
+  /// A live document in id order, with its slot.
+  struct DocRef {
+    storage::ObjectId id;
+    uint32_t slot;
+  };
+
+  /// Slot of `id`, creating an empty document when absent. When
+  /// `created` is non-null it reports whether it did.
+  uint32_t EnsureDoc(storage::ObjectId id, bool* created = nullptr);
+
+  /// Folds one term occurrence into document `id` (in `slot`). When
+  /// `new_terms` is non-null, terms the object did not contain before
+  /// are appended to it (the delta an incremental Append reports).
+  void AddTerm(storage::ObjectId id, uint32_t slot, const std::string& term,
                double text_weight, double voice_weight,
                std::vector<std::string>* new_terms = nullptr);
 
-  /// Lowers the holder-length floor of each of `terms` to `id`'s
-  /// current (end-of-operation) length where that is smaller.
-  void FloorHolderLengths(storage::ObjectId id,
-                          const std::vector<std::string>& terms);
+  /// Lowers the holder-length floor of the document's held terms from
+  /// index `first_held` on to its current (end-of-operation) length.
+  void FloorHolderLengths(uint32_t slot, size_t first_held);
 
   bool stats_only_;
   std::atomic<uint64_t> version_{0};
   CorpusStats stats_;
-  std::map<std::string, PostingMap, std::less<>> postings_;
-  std::map<std::string, uint64_t, std::less<>> doc_freq_;
-  /// Per-term max posting tf() and min holder length — the max-score
-  /// pruning bounds. Empty for stats-only indexes (no postings,
-  /// nothing to bound).
-  std::map<std::string, double, std::less<>> max_tf_;
-  std::map<std::string, double, std::less<>> min_len_;
-  std::map<storage::ObjectId, double> lengths_;
-  /// Distinct terms per object — what Remove must unwind.
-  std::map<storage::ObjectId, std::vector<std::string>> doc_terms_;
+  TermMap terms_;
+  /// Live documents, ascending id: the id -> slot lookup and the array
+  /// PartitionPoints reads.
+  std::vector<DocRef> docs_;
+  /// Per slot: weighted length, and the distinct terms held (what
+  /// Remove must unwind). Freed slots are reused.
+  std::vector<double> lengths_;
+  std::vector<std::vector<TermEntry*>> held_;
+  std::vector<uint32_t> free_slots_;
 };
 
 }  // namespace minos::query

@@ -22,13 +22,41 @@ ObjectServer::ObjectServer(storage::Archiver* archiver,
                            Link* link)
     : archiver_(archiver), versions_(versions), clock_(clock), link_(link) {}
 
-void ObjectServer::IndexWords(ObjectId id, std::string_view text) {
-  for (const std::string& w : SplitWords(text)) {
-    std::string folded = FoldWord(w);
-    if (folded.empty()) continue;
-    index_[std::move(folded)].insert(id);
+namespace {
+
+/// Registry-owned server statistics, each looked up once. Every handle
+/// resolves on its first use, not all at once, so a metric still
+/// registers only when the server first touches it and snapshots keep
+/// exactly the names they had.
+struct ServerMetrics {
+  static obs::MetricsRegistry& Registry() {
+    return obs::MetricsRegistry::Default();
   }
-}
+  static obs::Counter* Queries() {
+    static obs::Counter* const c = Registry().counter("server.queries");
+    return c;
+  }
+  static obs::Counter* RankedQueries() {
+    static obs::Counter* const c =
+        Registry().counter("query.ranked_queries");
+    return c;
+  }
+  static obs::Counter* Fetches() {
+    static obs::Counter* const c = Registry().counter("server.fetches");
+    return c;
+  }
+  static obs::Histogram* FetchBytes() {
+    static obs::Histogram* const h =
+        Registry().histogram("server.fetch_bytes");
+    return h;
+  }
+  static obs::Counter* Appends() {
+    static obs::Counter* const c = Registry().counter("server.appends");
+    return c;
+  }
+};
+
+}  // namespace
 
 StatusOr<ArchiveAddress> ObjectServer::Store(const MultimediaObject& obj) {
   MINOS_ASSIGN_OR_RETURN(std::string bytes, obj.SerializeArchived());
@@ -67,22 +95,11 @@ Status ObjectServer::CatalogObject(const MultimediaObject& obj,
     // Content index: text words, attribute values, and the words the
     // voice recognizer produced at insertion time (we index the
     // spoken-word ground truth; a limited-vocabulary deployment would
-    // index the Recognizer's output instead).
-    if (obj.has_text()) IndexWords(obj.id(), obj.text_part().contents());
-    for (const auto& [k, v] : obj.attributes()) {
-      IndexWords(obj.id(), v);
-    }
-    if (obj.has_voice()) {
-      for (const voice::WordAlignment& w :
-           obj.voice_part().track().words) {
-        IndexWords(obj.id(), w.word);
-      }
-    }
-
-    // Scored index: the same two sources, but with term frequencies and
+    // index the Recognizer's output instead), with term frequencies and
     // media provenance kept, voice postings weighted by the recognizer
-    // profile's confidence. Built here — at insertion time — so ranked
-    // browsing never pays recognition or indexing cost.
+    // profile's confidence. Built here — at insertion time — so
+    // browsing never pays recognition or indexing cost. Boolean and
+    // ranked queries both read it.
     scored_index_.Add(obj, query::VoiceConfidence(recognizer_profile_));
   }
   ++catalog_version_;
@@ -178,8 +195,8 @@ StatusOr<ObjectServer::AppendResult> ObjectServer::Append(
   MINOS_RETURN_IF_ERROR(next.Archive());
   MINOS_ASSIGN_OR_RETURN(std::string bytes, next.SerializeArchived());
 
-  // Device write FIRST. Nothing — catalog, version lineage, word
-  // index, scored index, catalog_version_ — has been touched yet, so a
+  // Device write FIRST. Nothing — catalog, version lineage, content
+  // index, catalog_version_ — has been touched yet, so a
   // write fault rolls the whole Append back by construction: no
   // phantom df entries, no stale-address catalog entry.
   MINOS_ASSIGN_OR_RETURN(ArchiveAddress addr, archiver_->Append(bytes));
@@ -189,13 +206,9 @@ StatusOr<ObjectServer::AppendResult> ObjectServer::Append(
   MINOS_RETURN_IF_ERROR(CatalogObject(next, bytes, addr, version,
                                       Crc32(bytes), /*reindex=*/false));
   // Incremental content indexing: only the appended words are walked —
-  // the existing postings keep their weights untouched. The scored
-  // index hands back the df/length delta the router's catalog-wide
-  // statistics apply in place of a full re-add.
-  IndexWords(id, parts.text);
-  for (const voice::WordAlignment& w : parts.voice.words) {
-    IndexWords(id, w.word);
-  }
+  // the existing postings keep their weights untouched. The index hands
+  // back the df/length delta the router's catalog-wide statistics
+  // apply in place of a full re-add.
   query::AppendedContent content;
   content.text = parts.text;
   content.voice_words = parts.voice.words;
@@ -204,7 +217,7 @@ StatusOr<ObjectServer::AppendResult> ObjectServer::Append(
   result.version = version;
   result.delta = scored_index_.Append(
       id, content, query::VoiceConfidence(recognizer_profile_));
-  obs::MetricsRegistry::Default().counter("server.appends")->Increment();
+  ServerMetrics::Appends()->Increment();
   return result;
 }
 
@@ -313,13 +326,14 @@ StatusOr<std::string> ObjectServer::ReadObjectBytes(ObjectId id) const {
 }
 
 std::vector<ObjectId> ObjectServer::Query(std::string_view word) const {
-  obs::MetricsRegistry::Default().counter("server.queries")->Increment();
-  std::vector<ObjectId> out;
+  ServerMetrics::Queries()->Increment();
   // Fold with the routine the index was built with, so "Chapter" and
-  // "chapter," hit the "chapter" posting list alike.
-  auto it = index_.find(FoldWord(word));
-  if (it == index_.end()) return out;
-  out.assign(it->second.begin(), it->second.end());
+  // "chapter," hit the "chapter" posting list alike. Posting lists are
+  // id-ordered, so the ids come out ascending.
+  const query::PostingList& list = scored_index_.Postings(FoldWord(word));
+  std::vector<ObjectId> out;
+  out.reserve(list.size());
+  for (const query::Posting& p : list) out.push_back(p.id);
   return out;
 }
 
@@ -328,15 +342,21 @@ std::vector<ObjectId> ObjectServer::QueryAll(
   std::vector<ObjectId> result;
   bool first = true;
   for (const std::string& w : words) {
-    std::vector<ObjectId> hits = Query(w);
     if (first) {
-      result = std::move(hits);
+      result = Query(w);
       first = false;
     } else {
-      std::vector<ObjectId> merged;
-      std::set_intersection(result.begin(), result.end(), hits.begin(),
-                            hits.end(), std::back_inserter(merged));
-      result = std::move(merged);
+      // Intersect in place against the id-ordered posting array.
+      ServerMetrics::Queries()->Increment();
+      const query::PostingList& list = scored_index_.Postings(FoldWord(w));
+      size_t pos = 0;
+      size_t kept = 0;
+      for (const ObjectId id : result) {
+        pos = list.Seek(pos, id);
+        if (pos == list.size()) break;
+        if (list[pos].id == id) result[kept++] = id;
+      }
+      result.resize(kept);
     }
     if (result.empty()) break;
   }
@@ -348,9 +368,7 @@ std::vector<query::ScoredHit> ObjectServer::QueryRankedWith(
     const query::ScoredIndex& global, const obs::TraceContext& ctx) const {
   std::optional<obs::TraceSpan> span =
       obs::MaybeStartSpan(tracer_, "server.score", ctx);
-  obs::MetricsRegistry::Default()
-      .counter("query.ranked_queries")
-      ->Increment();
+  ServerMetrics::RankedQueries()->Increment();
   query::QueryEngine engine;
   query::RankedQuery ranked =
       engine.TopK(scored_index_, global, words, k, mode, pool_);
@@ -458,9 +476,9 @@ StatusOr<MultimediaObject> ObjectServer::FetchAt(
         MINOS_ASSIGN_OR_RETURN(MultimediaObject obj,
                                MultimediaObject::DeserializeArchived(
                                    id, resolved));
-        reg.counter("server.fetches")->Increment();
-        reg.histogram("server.fetch_bytes")
-            ->Record(static_cast<double>(resolved.size()));
+        ServerMetrics::Fetches()->Increment();
+        ServerMetrics::FetchBytes()->Record(
+            static_cast<double>(resolved.size()));
         return obj;
       },
       RetryTrace{tracer_, ctx});
@@ -475,10 +493,9 @@ StatusOr<MultimediaObject> ObjectServer::FetchAt(
   StatusOr<MultimediaObject> salvaged =
       MultimediaObject::DeserializeArchivedLenient(id, *resolved, &report);
   if (!salvaged.ok()) return got;  // Nothing presentable survived.
-  reg.counter("server.fetches")->Increment();
+  ServerMetrics::Fetches()->Increment();
   reg.counter("server.fetch_salvages")->Increment();
-  reg.histogram("server.fetch_bytes")
-      ->Record(static_cast<double>(resolved->size()));
+  ServerMetrics::FetchBytes()->Record(static_cast<double>(resolved->size()));
   if (span != nullptr) span->AddTag("degraded", "salvage");
   return salvaged;
 }

@@ -145,6 +145,23 @@ TEST_F(ObjectServerTest, ConjunctiveQuery) {
   EXPECT_TRUE(server_.QueryAll({"red", "zebra"}).empty());
 }
 
+TEST_F(ObjectServerTest, QueryForgetsWordsOfAReStoredObject) {
+  // Re-storing an id replaces its content: boolean queries must stop
+  // answering for the words only the old version held, exactly as the
+  // ranked scorer does.
+  ASSERT_TRUE(server_.Store(TextObject(1, "hospital wing report")).ok());
+  ASSERT_TRUE(server_.Store(TextObject(2, "hospital budget")).ok());
+  ASSERT_TRUE(server_.Store(TextObject(1, "subway line report")).ok());
+  EXPECT_EQ(server_.Query("hospital"), (std::vector<storage::ObjectId>{2}));
+  EXPECT_TRUE(server_.Query("wing").empty());
+  EXPECT_EQ(server_.Query("subway"), (std::vector<storage::ObjectId>{1}));
+  EXPECT_EQ(server_.Query("report"), (std::vector<storage::ObjectId>{1}));
+  EXPECT_TRUE(server_.QueryAll({"hospital", "report"}).empty());
+  EXPECT_EQ(server_.QueryAll({"subway", "report"}),
+            (std::vector<storage::ObjectId>{1}));
+  EXPECT_TRUE(server_.QueryRanked({"wing"}, 5).empty());
+}
+
 TEST_F(ObjectServerTest, MiniatureOfVisualObject) {
   // A long document, so the miniature economics are visible.
   std::string body;

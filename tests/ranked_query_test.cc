@@ -176,8 +176,8 @@ TEST_F(RankedQueryTest, VoicePostingsAreConfidenceWeighted) {
 
   const auto& postings = server_.scored_index().Postings("fracture");
   ASSERT_EQ(postings.size(), 2u);
-  const query::TermPosting& voiced = postings.at(4);
-  const query::TermPosting& written = postings.at(2);
+  const query::TermPosting& voiced = *postings.Find(4);
+  const query::TermPosting& written = *postings.Find(2);
   EXPECT_EQ(voiced.text_tf, 0.0);
   EXPECT_GT(voiced.voice_tf, 0.0);
   EXPECT_LT(voiced.voice_tf, written.text_tf);
