@@ -1,6 +1,7 @@
 #include "minos/image/bitmap.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "minos/util/coding.h"
 #include "minos/util/string_util.h"
@@ -22,67 +23,67 @@ Bitmap::Bitmap(int width, int height)
       pixels_(static_cast<size_t>(width_) * static_cast<size_t>(height_),
               0) {}
 
-uint8_t Bitmap::At(int x, int y) const {
-  if (x < 0 || y < 0 || x >= width_ || y >= height_) return 0;
-  return pixels_[static_cast<size_t>(y) * width_ + x];
-}
-
-void Bitmap::Set(int x, int y, uint8_t ink) {
-  if (x < 0 || y < 0 || x >= width_ || y >= height_) return;
-  pixels_[static_cast<size_t>(y) * width_ + x] = ink;
-}
-
-void Bitmap::Blend(int x, int y, uint8_t ink) {
-  if (x < 0 || y < 0 || x >= width_ || y >= height_) return;
-  uint8_t& p = pixels_[static_cast<size_t>(y) * width_ + x];
-  p = std::max(p, ink);
-}
-
 void Bitmap::Fill(uint8_t ink) {
   std::fill(pixels_.begin(), pixels_.end(), ink);
 }
 
+namespace {
+
+/// Places `src` with its top-left at (x, y) on a `dw` x `dh` destination
+/// raster, clips once, and calls `op(dst_row, src_row, n)` for each of
+/// the clipped rows. Rows are row-major, one byte per pixel; `src` must
+/// not be the destination.
+template <typename RowOp>
+void ForEachPlacedRow(uint8_t* dst, int dw, int dh, const Bitmap& src,
+                      int x, int y, RowOp op) {
+  const int sw = src.width();
+  const Rect c = Rect{x, y, sw, src.height()}.Intersect(Rect{0, 0, dw, dh});
+  if (c.area() == 0) return;
+  const size_t n = static_cast<size_t>(c.w);
+  const uint8_t* s =
+      src.pixels().data() + static_cast<size_t>(c.y - y) * sw + (c.x - x);
+  uint8_t* d = dst + static_cast<size_t>(c.y) * dw + c.x;
+  for (int row = 0; row < c.h; ++row, s += sw, d += dw) op(d, s, n);
+}
+
+}  // namespace
+
 void Bitmap::FillRect(const Rect& r, uint8_t ink) {
   const Rect c = r.Intersect(Rect{0, 0, width_, height_});
-  for (int y = c.y; y < c.y + c.h; ++y) {
-    for (int x = c.x; x < c.x + c.w; ++x) {
-      pixels_[static_cast<size_t>(y) * width_ + x] = ink;
-    }
-  }
+  uint8_t* row = pixels_.data() + static_cast<size_t>(c.y) * width_ + c.x;
+  for (int y = 0; y < c.h; ++y, row += width_) std::fill_n(row, c.w, ink);
 }
 
 void Bitmap::Blit(const Bitmap& src, int x, int y) {
-  for (int sy = 0; sy < src.height_; ++sy) {
-    for (int sx = 0; sx < src.width_; ++sx) {
-      Set(x + sx, y + sy, src.At(sx, sy));
-    }
-  }
+  ForEachPlacedRow(pixels_.data(), width_, height_, src, x, y,
+                   [](uint8_t* d, const uint8_t* s, size_t n) {
+                     std::memcpy(d, s, n);
+                   });
 }
 
 void Bitmap::BlendOver(const Bitmap& src, int x, int y) {
-  for (int sy = 0; sy < src.height_; ++sy) {
-    for (int sx = 0; sx < src.width_; ++sx) {
-      Blend(x + sx, y + sy, src.At(sx, sy));
-    }
-  }
+  ForEachPlacedRow(pixels_.data(), width_, height_, src, x, y,
+                   [](uint8_t* d, const uint8_t* s, size_t n) {
+                     for (size_t i = 0; i < n; ++i) {
+                       d[i] = std::max(d[i], s[i]);
+                     }
+                   });
 }
 
 void Bitmap::OverwriteBy(const Bitmap& src, int x, int y) {
-  for (int sy = 0; sy < src.height_; ++sy) {
-    for (int sx = 0; sx < src.width_; ++sx) {
-      const uint8_t ink = src.At(sx, sy);
-      if (ink > 0) Set(x + sx, y + sy, ink);
-    }
-  }
+  ForEachPlacedRow(pixels_.data(), width_, height_, src, x, y,
+                   [](uint8_t* d, const uint8_t* s, size_t n) {
+                     for (size_t i = 0; i < n; ++i) {
+                       d[i] = s[i] > 0 ? s[i] : d[i];
+                     }
+                   });
 }
 
 Bitmap Bitmap::SubBitmap(const Rect& r) const {
+  // The crop is this bitmap blitted onto a blank r.w x r.h canvas at
+  // (-r.x, -r.y); whatever falls outside this bitmap stays blank.
   Bitmap out(r.w, r.h);
-  for (int y = 0; y < r.h; ++y) {
-    for (int x = 0; x < r.w; ++x) {
-      out.Set(x, y, At(r.x + x, r.y + y));
-    }
-  }
+  out.Blit(*this, -r.x, -r.y);
   return out;
 }
 
@@ -116,12 +117,16 @@ StatusOr<Bitmap> Bitmap::Deserialize(std::string_view bytes) {
   if (dec.remaining() < need) {
     return Status::Corruption("bitmap pixel data truncated");
   }
-  std::string pixels;
+  std::string_view pixels;
   MINOS_RETURN_IF_ERROR(dec.GetRaw(static_cast<size_t>(need), &pixels));
   Bitmap bm(static_cast<int>(w), static_cast<int>(h));
-  for (size_t i = 0; i < pixels.size(); ++i) {
-    bm.pixels_[i] = static_cast<uint8_t>(pixels[i]);
+  // A dimension above INT_MAX clamps to 0 in the constructor; never copy
+  // more pixels than the bitmap holds.
+  if (bm.pixels_.size() != pixels.size()) {
+    return Status::Corruption("bitmap dimensions out of range");
   }
+  std::copy_n(reinterpret_cast<const uint8_t*>(pixels.data()), pixels.size(),
+              bm.pixels_.data());
   return bm;
 }
 

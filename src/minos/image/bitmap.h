@@ -45,11 +45,20 @@ class Bitmap {
   bool empty() const { return width_ == 0 || height_ == 0; }
 
   /// Pixel access; out-of-bounds reads return 0, writes are ignored.
-  uint8_t At(int x, int y) const;
-  void Set(int x, int y, uint8_t ink);
+  /// Inline: glyph, line and polygon drawing call these per pixel.
+  uint8_t At(int x, int y) const {
+    return InBounds(x, y) ? pixels_[Index(x, y)] : 0;
+  }
+  void Set(int x, int y, uint8_t ink) {
+    if (InBounds(x, y)) pixels_[Index(x, y)] = ink;
+  }
 
   /// Darkens a pixel (max with existing ink).
-  void Blend(int x, int y, uint8_t ink);
+  void Blend(int x, int y, uint8_t ink) {
+    if (!InBounds(x, y)) return;
+    uint8_t& p = pixels_[Index(x, y)];
+    if (ink > p) p = ink;
+  }
 
   /// Fills the whole bitmap with `ink`.
   void Fill(uint8_t ink);
@@ -95,6 +104,13 @@ class Bitmap {
   }
 
  private:
+  bool InBounds(int x, int y) const {
+    return x >= 0 && y >= 0 && x < width_ && y < height_;
+  }
+  size_t Index(int x, int y) const {
+    return static_cast<size_t>(y) * width_ + x;
+  }
+
   int width_;
   int height_;
   std::vector<uint8_t> pixels_;

@@ -1,6 +1,8 @@
 #include "minos/image/miniature.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 namespace minos::image {
 
@@ -20,22 +22,28 @@ StatusOr<Miniature> Miniature::Build(const Image& image, int scale) {
   Bitmap small(mw, mh);
 
   if (image.is_bitmap()) {
-    // Box filter over scale x scale cells.
+    // Box filter over scale x scale cells (clipped at the right and
+    // bottom edges). Each band of `scale` source rows is first summed
+    // column-wise, then each cell adds its run of column sums.
     const Bitmap full = image.Render();
+    const int fw = full.width();
+    const int fh = full.height();
+    std::vector<uint32_t> column_sums(static_cast<size_t>(fw));
     for (int y = 0; y < mh; ++y) {
+      const int y0 = y * scale;
+      const int y1 = std::min(y0 + scale, fh);
+      std::fill(column_sums.begin(), column_sums.end(), 0);
+      for (int fy = y0; fy < y1; ++fy) {
+        const uint8_t* row =
+            full.pixels().data() + static_cast<size_t>(fy) * fw;
+        for (int fx = 0; fx < fw; ++fx) column_sums[fx] += row[fx];
+      }
       for (int x = 0; x < mw; ++x) {
+        const int x0 = x * scale;
+        const int x1 = std::min(x0 + scale, fw);
         uint32_t sum = 0;
-        int n = 0;
-        for (int dy = 0; dy < scale; ++dy) {
-          for (int dx = 0; dx < scale; ++dx) {
-            const int fx = x * scale + dx;
-            const int fy = y * scale + dy;
-            if (fx < full.width() && fy < full.height()) {
-              sum += full.At(fx, fy);
-              ++n;
-            }
-          }
-        }
+        for (int fx = x0; fx < x1; ++fx) sum += column_sums[fx];
+        const int n = (y1 - y0) * (x1 - x0);
         small.Set(x, y, n > 0 ? static_cast<uint8_t>(sum / n) : 0);
       }
     }

@@ -1,5 +1,7 @@
 #include "minos/object/part_codec.h"
 
+#include <vector>
+
 #include "minos/util/coding.h"
 
 namespace minos::object {
@@ -104,9 +106,17 @@ std::string EncodeVoiceDocument(const voice::VoiceDocument& doc) {
   const voice::PcmBuffer& pcm = doc.pcm();
   PutVarint32(&out, static_cast<uint32_t>(pcm.sample_rate()));
   PutVarint64(&out, pcm.size());
-  for (int16_t s : pcm.samples()) {
-    out.push_back(static_cast<char>(s & 0xFF));
-    out.push_back(static_cast<char>((s >> 8) & 0xFF));
+  // Samples as little-endian pairs, written in one pass over a
+  // pre-sized tail.
+  const int16_t* src = pcm.samples().data();
+  const size_t nsamples = pcm.size();
+  const size_t at = out.size();
+  out.resize(at + nsamples * 2);
+  auto* dst = reinterpret_cast<unsigned char*>(out.data() + at);
+  for (size_t i = 0; i < nsamples; ++i) {
+    const auto u = static_cast<uint16_t>(src[i]);
+    dst[2 * i] = static_cast<unsigned char>(u & 0xFF);
+    dst[2 * i + 1] = static_cast<unsigned char>(u >> 8);
   }
   const voice::VoiceTrack& track = doc.track();
   PutVarint64(&out, track.words.size());
@@ -141,15 +151,21 @@ StatusOr<voice::VoiceDocument> DecodeVoiceDocument(std::string_view bytes) {
   MINOS_RETURN_IF_ERROR(dec.GetVarint32(&rate));
   MINOS_RETURN_IF_ERROR(dec.GetVarint64(&nsamples));
   if (rate == 0) return Status::Corruption("zero sample rate");
-  voice::VoiceTrack track;
-  track.pcm = voice::PcmBuffer(static_cast<int>(rate));
-  std::string raw;
-  MINOS_RETURN_IF_ERROR(dec.GetRaw(static_cast<size_t>(nsamples) * 2, &raw));
-  for (size_t i = 0; i < raw.size(); i += 2) {
-    const uint16_t lo = static_cast<uint8_t>(raw[i]);
-    const uint16_t hi = static_cast<uint8_t>(raw[i + 1]);
-    track.pcm.Push(static_cast<int16_t>(lo | (hi << 8)));
+  // Checked before the byte count is formed, so a huge count can neither
+  // wrap `nsamples * 2` nor size an allocation.
+  if (nsamples > dec.remaining() / 2) {
+    return Status::Corruption("voice sample data truncated");
   }
+  std::string_view raw;
+  MINOS_RETURN_IF_ERROR(dec.GetRaw(static_cast<size_t>(nsamples) * 2, &raw));
+  std::vector<int16_t> samples(static_cast<size_t>(nsamples));
+  const auto* src = reinterpret_cast<const unsigned char*>(raw.data());
+  int16_t* dst = samples.data();
+  for (size_t i = 0; i < samples.size(); ++i) {
+    dst[i] = static_cast<int16_t>(src[2 * i] | src[2 * i + 1] << 8);
+  }
+  voice::VoiceTrack track;
+  track.pcm = voice::PcmBuffer(static_cast<int>(rate), std::move(samples));
   uint64_t n = 0;
   MINOS_RETURN_IF_ERROR(dec.GetVarint64(&n));
   for (uint64_t i = 0; i < n; ++i) {

@@ -79,28 +79,33 @@ void Screen::DrawTextScaled(int x, int y, std::string_view line, int scale,
   Font5x7::DrawStringScaled(&fb_, x, y, line, scale, ink);
 }
 
-void Screen::DrawBitmap(const Bitmap& bm, const Rect& region) {
-  Bitmap clipped = bm;
+namespace {
+
+/// Composes `bm` onto `fb` at the region's origin with the compositing
+/// rule `op`, cropped to the region's size. Only a bitmap larger than the
+/// region is copied, and then only its crop.
+void ComposeInRegion(Bitmap* fb, void (Bitmap::*op)(const Bitmap&, int, int),
+                     const Bitmap& bm, const Rect& region) {
   if (bm.width() > region.w || bm.height() > region.h) {
-    clipped = bm.SubBitmap(Rect{0, 0, region.w, region.h});
+    (fb->*op)(bm.SubBitmap(Rect{0, 0, region.w, region.h}), region.x,
+              region.y);
+  } else {
+    (fb->*op)(bm, region.x, region.y);
   }
-  fb_.Blit(clipped, region.x, region.y);
+}
+
+}  // namespace
+
+void Screen::DrawBitmap(const Bitmap& bm, const Rect& region) {
+  ComposeInRegion(&fb_, &Bitmap::Blit, bm, region);
 }
 
 void Screen::BlendBitmap(const Bitmap& bm, const Rect& region) {
-  Bitmap clipped = bm;
-  if (bm.width() > region.w || bm.height() > region.h) {
-    clipped = bm.SubBitmap(Rect{0, 0, region.w, region.h});
-  }
-  fb_.BlendOver(clipped, region.x, region.y);
+  ComposeInRegion(&fb_, &Bitmap::BlendOver, bm, region);
 }
 
 void Screen::OverwriteBitmap(const Bitmap& bm, const Rect& region) {
-  Bitmap clipped = bm;
-  if (bm.width() > region.w || bm.height() > region.h) {
-    clipped = bm.SubBitmap(Rect{0, 0, region.w, region.h});
-  }
-  fb_.OverwriteBy(clipped, region.x, region.y);
+  ComposeInRegion(&fb_, &Bitmap::OverwriteBy, bm, region);
 }
 
 void Screen::SetMenu(const std::vector<std::string>& options) {

@@ -88,36 +88,66 @@ Status Decoder::GetLengthPrefixed(std::string* value) {
 }
 
 Status Decoder::GetRaw(size_t n, std::string* value) {
+  std::string_view view;
+  MINOS_RETURN_IF_ERROR(GetRaw(n, &view));
+  value->assign(view);
+  return Status::OK();
+}
+
+Status Decoder::GetRaw(size_t n, std::string_view* value) {
   if (data_.size() < n) return Status::Corruption("truncated raw bytes");
-  value->assign(data_.data(), n);
+  *value = data_.substr(0, n);
   data_.remove_prefix(n);
   return Status::OK();
 }
 
 namespace {
 
-struct Crc32Table {
-  uint32_t entries[256];
-  Crc32Table() {
+/// Slice-by-8 tables for the reflected 0xEDB88320 polynomial. t[0] is the
+/// classic bytewise table; t[k][b] is the CRC of byte b followed by k zero
+/// bytes, so eight table lookups advance the CRC a whole 8-byte word at a
+/// time.
+struct Crc32Tables {
+  uint32_t t[8][256];
+  constexpr Crc32Tables() : t{} {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      entries[i] = c;
+      t[0][i] = c;
+    }
+    for (int k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+      }
     }
   }
 };
 
+constexpr Crc32Tables kCrc32{};
+
+/// Little-endian 32-bit load; compiles to one unaligned load on x86.
+inline uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
 }  // namespace
 
 uint32_t Crc32(std::string_view bytes) {
-  static const Crc32Table table;
+  const auto& t = kCrc32.t;
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  size_t n = bytes.size();
   uint32_t crc = 0xFFFFFFFFu;
-  for (const char ch : bytes) {
-    crc = table.entries[(crc ^ static_cast<unsigned char>(ch)) & 0xFF] ^
-          (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = LoadLe32(p) ^ crc;
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 

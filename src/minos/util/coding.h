@@ -58,6 +58,9 @@ class Decoder {
   /// Reads exactly `n` raw bytes.
   Status GetRaw(size_t n, std::string* value);
 
+  /// Reads exactly `n` raw bytes as a view into the input (no copy).
+  Status GetRaw(size_t n, std::string_view* value);
+
  private:
   std::string_view data_;
 };

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "minos/util/random.h"
@@ -151,6 +153,71 @@ TEST(CodingTest, RandomizedVarintRoundTrip) {
     ASSERT_EQ(v, expected);
   }
   EXPECT_TRUE(dec.empty());
+}
+
+// Bytewise reference CRC-32 (reflected 0xEDB88320, bit at a time), kept
+// independent of the table-driven kernel under test.
+uint32_t ReferenceCrc32(std::string_view bytes) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (const char ch : bytes) {
+    crc ^= static_cast<unsigned char>(ch);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::string RandomBytes(Random* rng, size_t n) {
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(rng->Next64());
+  return out;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  EXPECT_EQ(Crc32(""), 0u);
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32("a"), 0xE8B7BE43u);
+  EXPECT_EQ(Crc32("The quick brown fox jumps over the lazy dog"),
+            0x414FA339u);
+  EXPECT_EQ(Crc32(std::string(32, '\0')), 0x190A55ADu);
+  EXPECT_EQ(Crc32(std::string(32, '\xFF')), 0xFF6CAB0Bu);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryShortLength) {
+  Random rng(7);
+  const std::string buf = RandomBytes(&rng, 64);
+  for (size_t len = 0; len <= 64; ++len) {
+    const std::string_view s = std::string_view(buf).substr(0, len);
+    EXPECT_EQ(Crc32(s), ReferenceCrc32(s)) << "length " << len;
+  }
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceOnRandomBuffersAndOffsets) {
+  Random rng(2024);
+  for (int trial = 0; trial < 64; ++trial) {
+    const std::string buf = RandomBytes(&rng, 8 + rng.Uniform(4096));
+    // Every start offset within a word, so each alignment of the 8-byte
+    // body and every tail length are exercised.
+    for (size_t off = 0; off < 8; ++off) {
+      const std::string_view s = std::string_view(buf).substr(off);
+      EXPECT_EQ(Crc32(s), ReferenceCrc32(s))
+          << "trial " << trial << " offset " << off << " size " << s.size();
+    }
+  }
+}
+
+TEST(Crc32Test, DetectsEverySingleBitFlip) {
+  Random rng(11);
+  const std::string buf = RandomBytes(&rng, 37);
+  const uint32_t crc = Crc32(buf);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = buf;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      EXPECT_NE(Crc32(flipped), crc) << "byte " << i << " bit " << bit;
+    }
+  }
 }
 
 }  // namespace

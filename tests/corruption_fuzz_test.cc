@@ -14,6 +14,7 @@
 #include "minos/storage/archiver.h"
 #include "minos/storage/block_cache.h"
 #include "minos/text/markup.h"
+#include "minos/util/coding.h"
 #include "minos/util/random.h"
 #include "minos/voice/synthesizer.h"
 
@@ -140,6 +141,26 @@ TEST(CorruptionFuzzTest, VoiceDocumentFlipsNeverCrash) {
         static_cast<char>(rng.Next64());
     auto decoded = object::DecodeVoiceDocument(mutated);
     (void)decoded;
+  }
+}
+
+TEST(CorruptionFuzzTest, VoiceSampleCountBeyondThePartIsRejected) {
+  // A well-formed voice part (checksum included) whose sample count
+  // claims more than the bytes that follow it. Counts of 2^63 and
+  // 2^63 + 1 make `count * 2` wrap to 0 and 2, which would otherwise
+  // decode a track that disagrees with its own header.
+  const uint64_t counts[] = {uint64_t{1} << 63, (uint64_t{1} << 63) + 1,
+                             20, ~uint64_t{0}};
+  for (const uint64_t count : counts) {
+    std::string body;
+    PutVarint32(&body, 8000);
+    PutVarint64(&body, count);
+    body.append(2, '\x01');  // One sample.
+    // Zero words, zero silences and eight empty component tables.
+    body.append(10, '\0');
+    PutFixed32(&body, Crc32(body));
+    auto decoded = object::DecodeVoiceDocument(body);
+    EXPECT_TRUE(decoded.status().IsCorruption()) << "count " << count;
   }
 }
 

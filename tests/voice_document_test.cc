@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "minos/object/part_codec.h"
 #include "minos/text/markup.h"
 #include "minos/voice/synthesizer.h"
 
@@ -141,6 +145,56 @@ TEST(VoiceDocumentEmptyTest, EmptyTrackMappingsFail) {
   VoiceDocument vdoc((VoiceTrack()));
   EXPECT_TRUE(vdoc.TextOffsetForSample(0).status().IsNotFound());
   EXPECT_TRUE(vdoc.SampleForTextOffset(0).status().IsNotFound());
+}
+
+// Part codec round trips of hand-built tracks at the edges of the bulk
+// PCM loops: no samples, an odd count, and the extreme sample values.
+VoiceTrack HandBuiltTrack(int rate, std::vector<int16_t> samples) {
+  VoiceTrack track;
+  track.pcm = PcmBuffer(rate, std::move(samples));
+  return track;
+}
+
+TEST(VoicePartCodecTest, ZeroSampleTrackRoundTrips) {
+  VoiceDocument vdoc(HandBuiltTrack(8000, {}));
+  auto restored =
+      object::DecodeVoiceDocument(object::EncodeVoiceDocument(vdoc));
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE(restored->pcm().empty());
+  EXPECT_EQ(restored->pcm().sample_rate(), 8000);
+}
+
+TEST(VoicePartCodecTest, OddLengthTrackRoundTripsAsLittleEndianPairs) {
+  const std::vector<int16_t> samples = {
+      0, 1, -1, 32767, -32768, 0x1234, -0x1234, 255, -256};
+  VoiceTrack track = HandBuiltTrack(11025, samples);
+  track.words.push_back(WordAlignment{"odd", 4, SampleSpan{1, 8}});
+  track.silences.push_back(SilenceTruth{SampleSpan{8, 9}, 2});
+  VoiceDocument vdoc(std::move(track));
+  vdoc.TagComponent(LogicalUnit::kParagraph, SampleSpan{0, 9}, "all");
+  const std::string bytes = object::EncodeVoiceDocument(vdoc);
+
+  // Header: varint rate (11025 -> 2 bytes) and varint count (9 -> 1 byte),
+  // then each sample low byte first.
+  const size_t header = 3;
+  ASSERT_GE(bytes.size(), header + 2 * samples.size());
+  for (size_t i = 0; i < samples.size(); ++i) {
+    const auto u = static_cast<uint16_t>(samples[i]);
+    EXPECT_EQ(static_cast<uint8_t>(bytes[header + 2 * i]), u & 0xFF) << i;
+    EXPECT_EQ(static_cast<uint8_t>(bytes[header + 2 * i + 1]), u >> 8) << i;
+  }
+
+  auto restored = object::DecodeVoiceDocument(bytes);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->pcm().samples(), samples);
+  EXPECT_EQ(restored->pcm().sample_rate(), 11025);
+  ASSERT_EQ(restored->track().words.size(), 1u);
+  EXPECT_EQ(restored->track().words[0].word, "odd");
+  EXPECT_EQ(restored->track().words[0].samples, (SampleSpan{1, 8}));
+  ASSERT_EQ(restored->track().silences.size(), 1u);
+  EXPECT_EQ(restored->track().silences[0].level, 2);
+  ASSERT_EQ(restored->Components(LogicalUnit::kParagraph).size(), 1u);
+  EXPECT_EQ(restored->Components(LogicalUnit::kParagraph)[0].title, "all");
 }
 
 }  // namespace
