@@ -2,7 +2,6 @@
 #define MINOS_SERVER_OBJECT_SERVER_H_
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -125,11 +124,8 @@ class ObjectServer : public ObjectStore {
 
   /// The recognizer accuracy profile voice postings are confidence-
   /// weighted with at Store time (§2: recognition happens at insertion).
-  /// Every shard of one archive must share one profile, or replica
-  /// scores diverge. Takes effect for subsequent Stores.
-  void SetRecognizerProfile(const voice::RecognizerParams& profile) {
-    recognizer_profile_ = profile;
-  }
+  /// Every shard of one archive shares this one profile, so replica
+  /// scores agree.
   const voice::RecognizerParams& recognizer_profile() const {
     return recognizer_profile_;
   }
@@ -258,11 +254,6 @@ class ObjectServer : public ObjectStore {
                         uint64_t offset, uint64_t length,
                         const obs::TraceContext& ctx = {}) override;
 
-  /// Bytes a skeleton fetch of `id` defers to page-granular transfers:
-  /// image parts placed on visual pages, plus the text or voice stream
-  /// the pages present. Zero for objects with no pageable content.
-  StatusOr<uint64_t> DeferredPageBytes(storage::ObjectId id) const;
-
   /// Byte length of one named part of a cataloged object (the transfer
   /// cost of delivering it in full).
   StatusOr<uint64_t> PartLength(storage::ObjectId id,
@@ -325,9 +316,6 @@ class ObjectServer : public ObjectStore {
       bool over_link, uint64_t transfer_discount = 0,
       obs::TraceSpan* span = nullptr);
 
-  /// Deferred-byte math over a catalog entry's descriptor.
-  static uint64_t DeferredBytesOf(const object::ObjectDescriptor& desc);
-
   storage::Archiver* archiver_;
   storage::VersionStore* versions_;
   SimClock* clock_;
@@ -342,7 +330,7 @@ class ObjectServer : public ObjectStore {
   Random retry_rng_{0x5EED0FCA};  // Seeded backoff jitter: replayable.
   std::map<storage::ObjectId, CatalogEntry> catalog_;
   query::ScoredIndex scored_index_;  // The content index (all queries).
-  voice::RecognizerParams recognizer_profile_;
+  const voice::RecognizerParams recognizer_profile_;
   uint64_t catalog_version_ = 0;  // Bumped per successful Store.
 };
 

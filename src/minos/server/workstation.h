@@ -14,21 +14,12 @@
 #include "minos/core/presentation_manager.h"
 #include "minos/query/result_cache.h"
 #include "minos/server/object_store.h"
+#include "minos/server/page_plan.h"
 #include "minos/server/prefetch.h"
 #include "minos/util/random.h"
 #include "minos/util/statusor.h"
 
 namespace minos::server {
-
-/// Splits an even apportionment of `total_len` bytes over `page_count`
-/// pages and returns the {offset, length} slice that page `page`
-/// (1-based) owns. The last page absorbs the rounding remainder; a
-/// stream smaller than the page count rides whole with every page
-/// (offset 0, full length) so that the first page visited delivers it —
-/// delivery bookkeeping keeps later pages from re-transferring it.
-/// {0, 0} when the stream is empty or `page` is out of range.
-std::pair<uint64_t, uint64_t> ApportionStream(uint64_t total_len, int page,
-                                              int page_count);
 
 /// Sequential miniature-browsing interface (§5): the user pages through
 /// the miniature cards of qualifying objects and selects one to open.
@@ -192,36 +183,20 @@ class Workstation {
   void SetTaskPool(runtime::TaskPool* pool);
 
  private:
-  /// One contiguous byte range of a part, staged/transferred per page.
-  struct PageRange {
-    std::string part;
-    uint64_t offset = 0;
-    uint64_t length = 0;
-  };
-
-  /// Per-object paging info captured when the resolver delivers a
-  /// skeleton: what each page needs, what has been delivered.
-  struct ObjectPlan {
-    bool audio_mode = false;
-    uint64_t text_len = 0;
-    uint32_t text_pages = 0;  ///< Highest formatted text page used.
-    uint64_t voice_len = 0;
-    /// Per visual page: formatted text page shown (0 = none).
-    std::vector<uint32_t> page_text;
-    /// Per visual page: (image part name, byte length) placed on it.
-    std::vector<std::vector<std::pair<std::string, uint64_t>>> page_images;
-    /// Range keys ("part:offset") already transferred.
-    std::set<std::string> delivered;
+  /// Demand-paging state of one resolved object: its page plan and the
+  /// (part, offset) ranges already transferred. Delivery dedupes by
+  /// range, so an image placed on several pages travels once.
+  struct Paging {
+    PagePlan plan;
+    std::set<std::pair<std::string, uint64_t>> delivered;
   };
 
   StatusOr<object::MultimediaObject> Resolve(storage::ObjectId id);
-  void BuildPlan(storage::ObjectId id,
-                 const object::ObjectDescriptor& desc);
 
   /// Byte ranges page `page` (1-based) still needs.
-  std::vector<PageRange> UndeliveredRanges(const ObjectPlan& plan,
-                                           PrefetchKind kind, int page,
-                                           int page_count) const;
+  static std::vector<PageRange> UndeliveredRanges(const Paging& paging,
+                                                  PrefetchKind kind,
+                                                  int page, int page_count);
 
   /// Stages the ranges and charges the link once for their total size.
   /// With a valid `ctx` the work records a "ws.transfer" span under it.
@@ -244,7 +219,12 @@ class Workstation {
                               : obs::TraceContext{};
   }
 
-  void MarkDelivered(ObjectPlan& plan, const std::vector<PageRange>& ranges);
+  /// The prefetching strip over `ids`: cards materialize under the
+  /// cursor, claiming staged ones first, and take their score from
+  /// `scores` when given; the cursor steers the pipeline at the flanks.
+  MiniatureBrowser LazyStrip(
+      std::vector<storage::ObjectId> ids,
+      std::optional<std::map<storage::ObjectId, double>> scores);
 
   /// Cursor-event handlers (prefetch enabled only).
   void OnBrowse(const core::PresentationManager::BrowseEvent& event);
@@ -258,7 +238,7 @@ class Workstation {
   core::PresentationManager presentation_;
   std::unique_ptr<PrefetchQueue> prefetch_;
   PrefetchOptions prefetch_options_;
-  std::map<storage::ObjectId, ObjectPlan> plans_;
+  std::map<storage::ObjectId, Paging> paging_;
   Random page_rng_{0x9A6EBEEF};  ///< Jitter for demand-page retries.
   /// Miniature thumbs by object id, kept from the last Query: the
   /// degraded fallback for failed region fetches.

@@ -16,6 +16,7 @@
 #include "minos/obs/trace.h"
 #include "minos/runtime/task_pool.h"
 #include "minos/server/object_store.h"
+#include "minos/server/page_plan.h"
 #include "minos/server/prefetch.h"
 #include "minos/util/clock.h"
 #include "minos/util/statusor.h"
@@ -197,20 +198,9 @@ class SessionManager {
   Micros traced_active_us() const { return traced_active_us_; }
 
  private:
-  struct PageRange {
-    std::string part;
-    uint64_t offset = 0;
-    uint64_t length = 0;
-  };
-
-  /// Delivery plan of one object: per-page byte ranges derived from the
-  /// skeleton descriptor, shared across sessions (each session keeps its
-  /// own delivered-page set). `stamp` bumps on append invalidation.
-  struct Plan {
-    uint64_t stamp = 0;
-    std::vector<std::vector<PageRange>> pages;  ///< [page-1] -> ranges.
-    std::vector<uint64_t> page_bytes;           ///< [page-1] -> total.
-  };
+  /// One object's page plan, shared by the cache and every session
+  /// reading it; immutable, so readers need no lock.
+  using PlanPtr = std::shared_ptr<const server::PagePlan>;
 
   struct Session {
     SessionId id = 0;
@@ -221,7 +211,9 @@ class SessionManager {
     storage::ObjectId object = 0;  ///< Open object (0 = none).
     int page = 0;                  ///< 1-based cursor.
     int page_count = 0;
-    uint64_t plan_stamp = 0;        ///< Plan generation delivered against.
+    /// Plan `delivered` counts against (null until the first stage; a
+    /// plan replaced by append invalidation restarts delivery).
+    PlanPtr plan;
     std::set<int> delivered;        ///< Pages of `object` at the terminal.
     double stride_ewma = 1.0;       ///< Learned pages-per-turn.
     std::set<uint64_t> leases;      ///< Affinity groups leased.
@@ -250,20 +242,26 @@ class SessionManager {
   int EffectiveStride(const Session& s) const;
   void LearnStride(Session& s, int delta);
 
-  /// Copy of the plan for `object` (fetching the skeleton to build it on
-  /// first need). Thread-safe: tasks staging different shards race only
-  /// on the cache map, which is mutex-guarded.
-  StatusOr<Plan> EnsurePlan(storage::ObjectId object,
-                            const obs::TraceContext& ctx);
+  /// The plan for `object` (fetching the skeleton to build it on first
+  /// need), shared by every session reading it. Thread-safe: tasks
+  /// staging different shards race only on the cache map, which is
+  /// mutex-guarded.
+  StatusOr<PlanPtr> EnsurePlan(storage::ObjectId object,
+                               const obs::TraceContext& ctx);
   /// Drops the plan (append invalidation) and resets delivery
   /// bookkeeping of every session reading `object`.
   void InvalidateObject(storage::ObjectId object);
 
-  /// Foreground-stages page `page` of the session's object: plan ranges
-  /// through the archiver, then the payload over the routed link.
+  /// Foreground-stages page `page` of the session's object against the
+  /// plan EnsurePlan returns.
   Status StagePage(Session& s, int page, const obs::TraceContext& ctx);
-  /// Background flavor for prefetch work: same ranges, no session state.
+  /// Background flavor for prefetch work: the cached plan (NotFound once
+  /// invalidated), no session state.
   Status StagePageBackground(storage::ObjectId object, int page);
+  /// Shared tail of both: the page's plan ranges through the archiver,
+  /// then their payload over the routed link.
+  Status StagePlanPage(storage::ObjectId object, const server::PagePlan& plan,
+                       int page, const obs::TraceContext& ctx);
 
   /// Schedules up to speculate_depth pages ahead at the learned stride,
   /// within the session's prefetch budget.
@@ -290,8 +288,7 @@ class SessionManager {
 
   /// Guards plans_: read/built from staging tasks and prefetch work.
   mutable std::mutex plans_mu_;
-  std::map<storage::ObjectId, Plan> plans_;
-  uint64_t next_plan_stamp_ = 1;
+  std::map<storage::ObjectId, PlanPtr> plans_;
 
   obs::Counter* opened_;  // Owned by the registry.
   obs::Counter* admitted_;

@@ -1123,26 +1123,5 @@ TEST_F(PrefetchWorkstationTest, ServerRetriesSafelyAfterWorkstationDies) {
   link_.SetFaultInjector(nullptr);
 }
 
-TEST(ApportionStreamTest, SplitsEvenlyWithRemainderOnTheLastPage) {
-  EXPECT_EQ(ApportionStream(100, 1, 4),
-            (std::pair<uint64_t, uint64_t>{0, 25}));
-  EXPECT_EQ(ApportionStream(10, 3, 3),
-            (std::pair<uint64_t, uint64_t>{6, 4}));
-  EXPECT_EQ(ApportionStream(0, 1, 4), (std::pair<uint64_t, uint64_t>{0, 0}));
-  EXPECT_EQ(ApportionStream(100, 5, 4),
-            (std::pair<uint64_t, uint64_t>{0, 0}));
-}
-
-// A stream smaller than its page count must still be delivered — the
-// whole of it rides with every page (the delivered-set makes the first
-// visitor the one that transfers it), not vanish into zero-byte chunks.
-TEST(ApportionStreamTest, TinyStreamRidesWholeWithEveryPage) {
-  for (int page = 1; page <= 9; ++page) {
-    EXPECT_EQ(ApportionStream(5, page, 9),
-              (std::pair<uint64_t, uint64_t>{0, 5}))
-        << "page " << page;
-  }
-}
-
 }  // namespace
 }  // namespace minos::server

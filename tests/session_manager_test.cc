@@ -438,6 +438,36 @@ TEST(SessionManagerTest, AppendInvalidatesPlansAndForcesRedelivery) {
   EXPECT_GT(out[0].latency_us, 0);
 }
 
+// An append landing in the same epoch as a reader's staged page turn
+// drops the plan that turn was delivered against, so the turn may not
+// speculate on it: the next pages' sizes changed with the append.
+TEST(SessionManagerTest, AppendInTheSameEpochStopsSpeculationOnTheOldPlan) {
+  SessionHarness h;
+  h.Build(1);
+  h.WireAppend();
+  ASSERT_TRUE(h.router->Store(PagedObject(1, 30)).ok());
+  const SessionId reader = h.manager->Open("reader");
+  const SessionId writer = h.manager->Open("writer");
+  ASSERT_TRUE(h.manager->PumpEpoch({OpenEv(reader, 1)})[0].status.ok());
+  ASSERT_GE(h.manager->page_count(reader), 8);
+
+  h.clock.Advance(MillisToMicros(100));
+  const int64_t enqueued = h.Count("prefetch.enqueued");
+  auto out = h.manager->PumpEpoch(
+      {JumpEv(reader, 6), AppendEv(writer, 1, " appended words")});
+  ASSERT_TRUE(out[0].status.ok());
+  ASSERT_FALSE(out[0].prefetch_hit);  // Staged against the old plan.
+  ASSERT_TRUE(out[1].status.ok()) << out[1].status.ToString();
+  EXPECT_EQ(h.Count("prefetch.enqueued"), enqueued);
+  EXPECT_EQ(h.manager->prefetch()->OutstandingBytes(reader), 0u);
+
+  // The next turn stages against the fresh plan and speculates again.
+  h.clock.Advance(MillisToMicros(100));
+  out = h.manager->PumpEpoch({TurnEv(reader, 1)});
+  ASSERT_TRUE(out[0].status.ok());
+  EXPECT_GT(h.manager->prefetch()->OutstandingBytes(reader), 0u);
+}
+
 TEST(SessionManagerTest, AppendWithoutAHandlerIsUnsupported) {
   SessionHarness h;
   h.Build(1);
