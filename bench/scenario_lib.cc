@@ -10,6 +10,7 @@
 #include "minos/obs/export.h"
 #include "minos/obs/metrics.h"
 #include "minos/text/markup.h"
+#include "minos/voice/synthesizer.h"
 
 namespace minos::bench {
 
@@ -83,6 +84,17 @@ text::Document LongReport(int paragraphs) {
   text::MarkupParser parser;
   auto doc = parser.Parse(markup);
   return std::move(doc).value();
+}
+
+const voice::VoiceDocument& SpokenReport() {
+  static const voice::VoiceDocument* doc = [] {
+    const text::Document text = LongReport(1);
+    voice::SpeechSynthesizer synth{voice::SpeakerParams{}};
+    auto* vdoc = new voice::VoiceDocument(synth.Synthesize(text).value());
+    vdoc->TagFromAlignment(text, voice::EditingLevel::kFull);
+    return vdoc;
+  }();
+  return *doc;
 }
 
 Image XrayBitmap(int width, int height) {

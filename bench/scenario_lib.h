@@ -15,6 +15,7 @@
 #include "minos/query/scored_index.h"
 #include "minos/text/document.h"
 #include "minos/util/status.h"
+#include "minos/voice/voice_document.h"
 
 namespace minos::bench {
 
@@ -24,6 +25,11 @@ text::Document OfficeDocument();
 
 /// A long synthetic report with `paragraphs` paragraphs (sweep workloads).
 text::Document LongReport(int paragraphs);
+
+/// LongReport(1) spoken by the default speaker (about 230k samples, the
+/// size of a perfbench `present` audio twin) and tagged to full editing
+/// level. Built once per process.
+const voice::VoiceDocument& SpokenReport();
 
 /// A simulated chest x-ray bitmap of the given size.
 image::Image XrayBitmap(int width, int height);

@@ -56,8 +56,9 @@ class ArchiveMailer {
   StatusOr<std::string> MailOutside(storage::ObjectId id);
 
   /// Resolves archiver pointers in `bytes` (the MailOutside core, exposed
-  /// for objects not yet versioned).
-  StatusOr<std::string> ResolvePointers(std::string_view bytes);
+  /// for objects not yet versioned). Bytes without archiver pointers are
+  /// validated and handed back as they are, by move.
+  StatusOr<std::string> ResolvePointers(std::string bytes);
 
   /// Fetches and decodes the current version of an object, resolving any
   /// archiver pointers on the way (the server-side read path).

@@ -211,15 +211,17 @@ StatusOr<MultimediaObject> MultimediaObject::DeserializeArchivedLenient(
 StatusOr<MultimediaObject> MultimediaObject::DeserializeArchivedImpl(
     storage::ObjectId id, std::string_view bytes,
     PartSalvageReport* report) {
+  // Descriptor, catalog and every part are views into `bytes`: each part
+  // decodes straight from the bytes read.
   Decoder dec(bytes);
-  std::string desc_bytes;
+  std::string_view desc_bytes;
   MINOS_RETURN_IF_ERROR(dec.GetLengthPrefixed(&desc_bytes));
   MINOS_ASSIGN_OR_RETURN(ObjectDescriptor desc,
                          ObjectDescriptor::Deserialize(desc_bytes));
-  std::string comp_bytes;
+  std::string_view comp_bytes;
   MINOS_RETURN_IF_ERROR(dec.GetRaw(dec.remaining(), &comp_bytes));
-  MINOS_ASSIGN_OR_RETURN(CompositionFile comp,
-                         CompositionFile::Deserialize(comp_bytes));
+  MINOS_ASSIGN_OR_RETURN(CompositionFile::View comp,
+                         CompositionFile::Parse(comp_bytes));
 
   MultimediaObject obj(id);
   for (const PartPointer& p : desc.parts) {
@@ -229,7 +231,7 @@ StatusOr<MultimediaObject> MultimediaObject::DeserializeArchivedImpl(
       return Status::FailedPrecondition(
           "object still has archiver pointers; resolve before decoding");
     }
-    std::string payload;
+    std::string_view payload;
     MINOS_RETURN_IF_ERROR(comp.ReadRange(p.offset, p.length, &payload));
     switch (p.type) {
       case DataType::kAttributes: {

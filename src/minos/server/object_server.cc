@@ -76,7 +76,7 @@ Status ObjectServer::CatalogObject(const MultimediaObject& obj,
   // Catalog: the serialized descriptor (its parts carry composition
   // offsets) plus the payload base within the object bytes.
   Decoder dec(bytes);
-  std::string desc_bytes;
+  std::string_view desc_bytes;
   MINOS_RETURN_IF_ERROR(dec.GetLengthPrefixed(&desc_bytes));
   MINOS_ASSIGN_OR_RETURN(ObjectDescriptor desc,
                          ObjectDescriptor::Deserialize(desc_bytes));
@@ -323,7 +323,7 @@ StatusOr<std::string> ObjectServer::ReadObjectBytes(ObjectId id) const {
                               "to serve it as a repair source");
   }
   format::ArchiveMailer mailer(archiver_, versions_, clock_);
-  return mailer.ResolvePointers(bytes);
+  return mailer.ResolvePointers(std::move(bytes));
 }
 
 std::vector<ObjectId> ObjectServer::Query(std::string_view word) const {
@@ -452,7 +452,7 @@ StatusOr<std::string> ObjectServer::ReadAndDeliver(
   MINOS_RETURN_IF_ERROR(archiver_->Read(address, &bytes));
   format::ArchiveMailer mailer(archiver_, versions_, clock_);
   MINOS_ASSIGN_OR_RETURN(std::string resolved,
-                         mailer.ResolvePointers(bytes));
+                         mailer.ResolvePointers(std::move(bytes)));
   if (over_link && link_ != nullptr) {
     uint64_t charge = resolved.size();
     charge -= std::min<uint64_t>(transfer_discount, charge);
@@ -526,10 +526,7 @@ Status ObjectServer::StagePartRange(ObjectId id, std::string_view part_name,
           ? part.offset
           : entry->address.offset + entry->payload_base + part.offset;
   const uint64_t abs_offset = base + offset;
-  if (scheduler_ == nullptr) {
-    std::string scratch;
-    return archiver_->ReadRange(abs_offset, length, &scratch);
-  }
+  if (scheduler_ == nullptr) return archiver_->TouchRange(abs_offset, length);
   // Scheduler installed: replace the archiver's naive device charge with
   // a lane-scheduled one. The read runs inline to learn which blocks
   // actually missed the cache; the clock then rewinds and the miss, if
@@ -543,8 +540,7 @@ Status ObjectServer::StagePartRange(ObjectId id, std::string_view part_name,
   }
   const Micros before = clock_->Now();
   const uint64_t blocks_before = archiver_->device().stats().blocks_read;
-  std::string scratch;
-  MINOS_RETURN_IF_ERROR(archiver_->ReadRange(abs_offset, length, &scratch));
+  MINOS_RETURN_IF_ERROR(archiver_->TouchRange(abs_offset, length));
   const uint64_t fetched =
       archiver_->device().stats().blocks_read - blocks_before;
   clock_->RewindTo(before);

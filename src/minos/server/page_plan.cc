@@ -34,13 +34,16 @@ PagePlan::PagePlan(const object::ObjectDescriptor& desc,
         ApportionStream(text_len, static_cast<int>(spec.text_page),
                         static_cast<int>(text_pages));
     if (length > 0) ranges.push_back(PageRange{"text", offset, length});
+    std::set<uint32_t> on_page;  // An image placed twice is listed once.
     for (const object::PlacedImage& placed : spec.images) {
       std::string part = "image:" + std::to_string(placed.image_index);
       const uint64_t image_len = part_length(part);
       if (images.insert(placed.image_index).second) {
         deferred_bytes_ += image_len;
       }
-      if (image_len > 0) ranges.push_back(PageRange{part, 0, image_len});
+      if (image_len > 0 && on_page.insert(placed.image_index).second) {
+        ranges.push_back(PageRange{part, 0, image_len});
+      }
     }
   }
   if (desc.driving_mode == object::DrivingMode::kAudio) {

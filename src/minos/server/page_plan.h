@@ -32,7 +32,8 @@ std::pair<uint64_t, uint64_t> ApportionStream(uint64_t total_len, int page,
 /// from its skeleton descriptor: the single source of the skeleton
 /// transfer discount, workstation demand paging and session staging.
 /// A visual page needs its slice of the text stream (apportioned over
-/// the highest text page shown) and each image placed on it; an audio
+/// the highest text page shown) and each distinct image placed on it
+/// (an image placed twice on one page is listed once); an audio
 /// page needs its slice of the voice stream. Zero-length ranges are
 /// never listed.
 class PagePlan {

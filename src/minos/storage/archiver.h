@@ -53,6 +53,12 @@ class Archiver {
   /// Reads an arbitrary sub-range [offset, offset+length).
   Status ReadRange(uint64_t offset, uint64_t length, std::string* out) const;
 
+  /// Touches [offset, offset+length) without copying it out: the same
+  /// device charge, clock advance, cache hits, misses and inserts (and
+  /// read-fault hook calls) as ReadRange, for callers that only stage
+  /// the blocks.
+  Status TouchRange(uint64_t offset, uint64_t length) const;
+
   /// Cache-bypassing read of `address`: every flushed covering block
   /// comes off the device itself (the volatile tail is served from
   /// memory as usual), and nothing is inserted into the cache.
@@ -67,9 +73,12 @@ class Archiver {
   const BlockDevice& device() const { return *device_; }
 
  private:
-  Status ReadBlock(uint64_t block, std::string* out) const;
-  Status ReadBlockFromDevice(uint64_t block, std::string* out,
-                             bool use_cache) const;
+  /// Writes one full block at the write head and caches it.
+  Status WriteBlock(std::string_view block);
+  /// Appends bytes [lo, hi) of `block` to `out` (null: touch only),
+  /// from the cache, the device or the volatile tail.
+  Status ReadSlice(uint64_t block, uint64_t lo, uint64_t hi,
+                   std::string* out, bool use_cache) const;
   Status ReadRangeImpl(uint64_t offset, uint64_t length, std::string* out,
                        bool use_cache) const;
 

@@ -22,7 +22,8 @@ BlockCache::BlockCache(size_t capacity_blocks,
   evictions_ = reg.counter(scope + ".evictions");
 }
 
-bool BlockCache::Lookup(uint64_t block, std::string* out) {
+bool BlockCache::Lookup(uint64_t block, size_t offset, size_t length,
+                        std::string* out) {
   Shard& s = ShardFor(block);
   std::lock_guard<std::mutex> lock(s.mu);
   auto it = s.map.find(block);
@@ -32,7 +33,7 @@ bool BlockCache::Lookup(uint64_t block, std::string* out) {
   }
   hits_->Increment();
   s.lru.splice(s.lru.begin(), s.lru, it->second);
-  *out = it->second->payload;
+  if (out != nullptr) out->append(it->second->payload, offset, length);
   return true;
 }
 

@@ -42,9 +42,12 @@ class BlockCache {
   BlockCache(const BlockCache&) = delete;
   BlockCache& operator=(const BlockCache&) = delete;
 
-  /// Looks up a block; on hit copies the payload into `out`, refreshes
-  /// recency and returns true.
-  bool Lookup(uint64_t block, std::string* out);
+  /// Looks up a block; on a hit refreshes recency, appends payload bytes
+  /// [offset, offset + length) to `out` (clamped to the payload, as
+  /// std::string::append clamps) and returns true. A null `out` only
+  /// touches the block: the same recency and hit/miss effects, no bytes.
+  bool Lookup(uint64_t block, size_t offset, size_t length,
+              std::string* out);
 
   /// Inserts (or refreshes) a block, evicting the least recently used
   /// entries as needed.

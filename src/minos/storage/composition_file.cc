@@ -1,5 +1,7 @@
 #include "minos/storage/composition_file.h"
 
+#include <algorithm>
+
 #include "minos/util/coding.h"
 
 namespace minos::storage {
@@ -47,12 +49,29 @@ Status CompositionFile::ReadPart(const Part& part, std::string* out) const {
   return ReadRange(part.offset, part.length, out);
 }
 
-Status CompositionFile::ReadRange(uint64_t offset, uint64_t length,
-                                  std::string* out) const {
-  if (offset + length > data_.size()) {
+namespace {
+
+Status SliceRange(std::string_view data, uint64_t offset, uint64_t length,
+                  std::string_view* out) {
+  if (offset + length > data.size()) {
     return Status::OutOfRange("composition file range past end");
   }
-  out->assign(data_, offset, length);
+  *out = data.substr(offset, length);
+  return Status::OK();
+}
+
+}  // namespace
+
+Status CompositionFile::View::ReadRange(uint64_t offset, uint64_t length,
+                                        std::string_view* out) const {
+  return SliceRange(data, offset, length, out);
+}
+
+Status CompositionFile::ReadRange(uint64_t offset, uint64_t length,
+                                  std::string* out) const {
+  std::string_view slice;
+  MINOS_RETURN_IF_ERROR(SliceRange(data_, offset, length, &slice));
+  out->assign(slice);
   return Status::OK();
 }
 
@@ -69,17 +88,22 @@ std::string CompositionFile::Serialize() const {
   return out;
 }
 
-StatusOr<CompositionFile> CompositionFile::Deserialize(
+CompositionFile::CompositionFile(View view)
+    : parts_(std::move(view.parts)), data_(view.data) {}
+
+StatusOr<CompositionFile::View> CompositionFile::Parse(
     std::string_view bytes) {
   Decoder dec(bytes);
   uint64_t n = 0;
   MINOS_RETURN_IF_ERROR(dec.GetVarint64(&n));
-  CompositionFile cf;
-  cf.parts_.reserve(n);
+  View view;
+  // Every catalog entry takes at least four bytes, so a count the input
+  // cannot hold fails as truncation below instead of reserving it.
+  view.parts.reserve(std::min<uint64_t>(n, dec.remaining()));
   for (uint64_t i = 0; i < n; ++i) {
     Part p;
     MINOS_RETURN_IF_ERROR(dec.GetLengthPrefixed(&p.name));
-    std::string type_byte;
+    std::string_view type_byte;
     MINOS_RETURN_IF_ERROR(dec.GetRaw(1, &type_byte));
     const auto raw = static_cast<uint8_t>(type_byte[0]);
     if (raw > static_cast<uint8_t>(DataType::kOther)) {
@@ -88,15 +112,21 @@ StatusOr<CompositionFile> CompositionFile::Deserialize(
     p.type = static_cast<DataType>(raw);
     MINOS_RETURN_IF_ERROR(dec.GetVarint64(&p.offset));
     MINOS_RETURN_IF_ERROR(dec.GetVarint64(&p.length));
-    cf.parts_.push_back(std::move(p));
+    view.parts.push_back(std::move(p));
   }
-  MINOS_RETURN_IF_ERROR(dec.GetLengthPrefixed(&cf.data_));
-  for (const Part& p : cf.parts_) {
-    if (p.offset + p.length > cf.data_.size()) {
+  MINOS_RETURN_IF_ERROR(dec.GetLengthPrefixed(&view.data));
+  for (const Part& p : view.parts) {
+    if (p.offset + p.length > view.data.size()) {
       return Status::Corruption("composition part out of bounds");
     }
   }
-  return cf;
+  return view;
+}
+
+StatusOr<CompositionFile> CompositionFile::Deserialize(
+    std::string_view bytes) {
+  MINOS_ASSIGN_OR_RETURN(View view, Parse(bytes));
+  return CompositionFile(std::move(view));
 }
 
 }  // namespace minos::storage

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "minos/util/status.h"
@@ -40,7 +41,22 @@ class CompositionFile {
     uint64_t length = 0;
   };
 
+  /// A parsed composition file whose payload still lives in the bytes it
+  /// was parsed from (which must outlive the view): the zero-copy form
+  /// the archival read path decodes parts from.
+  struct View {
+    std::vector<Part> parts;
+    std::string_view data;
+
+    /// Views an arbitrary byte range of the payload (no copy).
+    Status ReadRange(uint64_t offset, uint64_t length,
+                     std::string_view* out) const;
+  };
+
   CompositionFile() = default;
+
+  /// Takes `view`'s catalog and copies its payload (the one copy).
+  explicit CompositionFile(View view);
 
   /// Appends a part; returns its byte offset within the composition file.
   uint64_t AppendPart(std::string name, DataType type,
@@ -69,7 +85,12 @@ class CompositionFile {
   /// archiving or mailing).
   std::string Serialize() const;
 
-  /// Parses a byte string produced by Serialize().
+  /// Parses a byte string produced by Serialize() without copying the
+  /// payload. Corruption when the catalog is truncated or malformed or a
+  /// part lies outside the payload.
+  static StatusOr<View> Parse(std::string_view bytes);
+
+  /// Parse() plus one copy of the payload.
   static StatusOr<CompositionFile> Deserialize(std::string_view bytes);
 
   /// The raw concatenated payload (used when rebasing into the archiver).

@@ -82,6 +82,13 @@ Status Decoder::GetVarint64(uint64_t* value) {
 }
 
 Status Decoder::GetLengthPrefixed(std::string* value) {
+  std::string_view view;
+  MINOS_RETURN_IF_ERROR(GetLengthPrefixed(&view));
+  value->assign(view);
+  return Status::OK();
+}
+
+Status Decoder::GetLengthPrefixed(std::string_view* value) {
   uint64_t len = 0;
   MINOS_RETURN_IF_ERROR(GetVarint64(&len));
   return GetRaw(static_cast<size_t>(len), value);

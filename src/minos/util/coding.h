@@ -55,6 +55,9 @@ class Decoder {
   /// Reads a length-prefixed string into `value` (copies the bytes).
   Status GetLengthPrefixed(std::string* value);
 
+  /// Reads a length-prefixed string as a view into the input (no copy).
+  Status GetLengthPrefixed(std::string_view* value);
+
   /// Reads exactly `n` raw bytes.
   Status GetRaw(size_t n, std::string* value);
 

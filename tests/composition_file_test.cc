@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "minos/util/coding.h"
+
 namespace minos::storage {
 namespace {
 
@@ -86,6 +88,47 @@ TEST(CompositionFileTest, DeserializeRejectsBadType) {
   // The type byte follows the varint part count (1 byte) and the
   // length-prefixed name (1 + 1 bytes).
   bytes[3] = 99;
+  EXPECT_TRUE(CompositionFile::Deserialize(bytes).status().IsCorruption());
+}
+
+TEST(CompositionFileTest, ParseViewsThePayloadInPlace) {
+  CompositionFile cf;
+  cf.AppendPart("attributes", DataType::kAttributes, "k=v");
+  cf.AppendPart("text", DataType::kText, "body text");
+  const std::string bytes = cf.Serialize();
+  auto view = CompositionFile::Parse(bytes);
+  ASSERT_TRUE(view.ok());
+  ASSERT_EQ(view->parts.size(), 2u);
+  EXPECT_EQ(view->data, "k=vbody text");
+  // A view into `bytes`, not a copy of them.
+  EXPECT_GE(view->data.data(), bytes.data());
+  EXPECT_LE(view->data.data() + view->data.size(),
+            bytes.data() + bytes.size());
+  std::string_view text;
+  ASSERT_TRUE(view->ReadRange(view->parts[1].offset, view->parts[1].length,
+                              &text)
+                  .ok());
+  EXPECT_EQ(text, "body text");
+  EXPECT_TRUE(view->ReadRange(8, 5, &text).IsOutOfRange());
+}
+
+TEST(CompositionFileTest, ParseRejectsAPartPastThePayload) {
+  CompositionFile cf;
+  cf.AppendPart("a", DataType::kText, "x");
+  std::string bytes = cf.Serialize();
+  // Part count, name "a" (1 + 1 bytes), type, offset, then the length.
+  bytes[5] = 2;  // Two bytes at offset 0 of a one-byte payload.
+  EXPECT_TRUE(CompositionFile::Parse(bytes).status().IsCorruption());
+  EXPECT_TRUE(CompositionFile::Deserialize(bytes).status().IsCorruption());
+}
+
+TEST(CompositionFileTest, ParseRejectsAPartCountTheBytesCannotHold) {
+  // A varint part count of 2^62 over a few bytes of input: Corruption,
+  // not an attempt to reserve 2^62 catalog entries.
+  std::string bytes;
+  PutVarint64(&bytes, uint64_t{1} << 62);
+  bytes += "abc";
+  EXPECT_TRUE(CompositionFile::Parse(bytes).status().IsCorruption());
   EXPECT_TRUE(CompositionFile::Deserialize(bytes).status().IsCorruption());
 }
 

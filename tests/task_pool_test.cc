@@ -336,7 +336,7 @@ TEST(TaskPoolTest, TsanHammerOnSharedStructures) {
         for (uint64_t block = 0; block < 40; ++block) {
           const uint64_t key = Mix(block * 8 + i + epoch) % 96;
           std::string payload;
-          if (!cache.Lookup(key, &payload)) {
+          if (!cache.Lookup(key, 0, std::string::npos, &payload)) {
             cache.Insert(key, std::string(1 + key % 17, 'x'));
           }
           if (key % 13 == 0) cache.Erase(key);
